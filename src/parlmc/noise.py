@@ -28,6 +28,7 @@ iteration-k consumption contract used by the samplers is:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,13 +46,20 @@ _CHOLESKY_JITTER = 1e-12
 _PSD_TOL = 1e-10
 
 
+@lru_cache(maxsize=256)
+def _philox_key(seed: int) -> np.ndarray:
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    key.flags.writeable = False  # one cached key is shared by every stream of the seed
+    return key
+
+
 def stream(seed: int, iteration: int, role: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, iteration, role).
 
     Distinct keys give non-overlapping Philox streams, so any draw is
     reproducible regardless of which worker or schedule executes it.
     """
-    key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+    key = _philox_key(int(seed))
     counter = np.array([0, 0, int(role), int(iteration)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 

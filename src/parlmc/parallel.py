@@ -6,8 +6,11 @@ the round into ceil(R / width) waves, which is exactly what the accounting
 records.  Results land in pre-assigned slots by index, never by completion
 order, so trajectories are bitwise independent of scheduling.
 
-The physical thread count can be capped with the ``PARLMC_WORKERS``
-environment variable without changing the accounting.
+Rounds share one thread pool, grown only when a round needs more workers;
+the ``PARLMC_WORKERS`` environment variable caps its thread count without
+changing the accounting.  The prefix combine is one matmul per round, each
+chain's (R, R) @ (R, p) product computed on its own, so results do not depend
+on the ensemble size, the worker cap or the thread schedule.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -23,8 +26,9 @@ import numpy as np
 
 from .errors import ConfigurationError, RoundExecutionError
 
-_pools: dict[int, ThreadPoolExecutor] = {}
-_pools_lock = threading.Lock()
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
 
 
 def worker_limit() -> int | None:
@@ -41,13 +45,20 @@ def worker_limit() -> int | None:
     return value
 
 
-def _pool(workers: int) -> ThreadPoolExecutor:
-    with _pools_lock:
-        pool = _pools.get(workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="parlmc-round")
-            _pools[workers] = pool
-        return pool
+def _submit_wave(fn, points, workers: int, cap: int | None) -> list[Future]:
+    """Submit one wave to the shared pool, resized to `workers` threads first.
+
+    A pool with fewer threads, or more than the cap, is replaced and shut down
+    (its queued work still runs); submitting under the lock closes the gap.
+    """
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool_size < workers or (cap is not None and _pool_size > cap):
+            if _pool is not None:
+                _pool.shutdown(wait=False)
+            _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="parlmc-round")
+            _pool_size = workers
+        return [_pool.submit(fn, point) for point in points]
 
 
 @dataclass
@@ -84,45 +95,31 @@ def execute_round(plan: RoundPlan, potential) -> RoundResult:
 
     start = perf_counter()
     gradients: list[np.ndarray | None] = [None] * R
-    workers = min(width, worker_limit() or width, R)
-    if workers == 1:
-        for i, point in enumerate(plan.points):
+    cap = worker_limit()
+    workers = min(width, cap or width, R)
+    for wave_start in range(0, R, width):
+        wave = range(wave_start, min(wave_start + width, R))
+        points = [plan.points[i] for i in wave]
+        futures = _submit_wave(potential.gradient, points, workers, cap) if workers > 1 else None
+        for k, i in enumerate(wave):
             try:
-                gradients[i] = potential.gradient(point)
+                gradients[i] = futures[k].result() if futures else potential.gradient(points[k])
             except Exception as exc:
                 raise RoundExecutionError(f"gradient failed at round slot {i}: {exc}", index=i) from exc
-    else:
-        pool = _pool(workers)
-        for wave_start in range(0, R, width):
-            wave = range(wave_start, min(wave_start + width, R))
-            futures = {i: pool.submit(potential.gradient, plan.points[i]) for i in wave}
-            for i in wave:
-                try:
-                    gradients[i] = futures[i].result()
-                except Exception as exc:
-                    raise RoundExecutionError(f"gradient failed at round slot {i}: {exc}", index=i) from exc
     wall = perf_counter() - start
     potential.counter.add_rounds(rounds, wall_time=wall)
     return RoundResult(gradients=gradients, wall_time=wall, rounds_consumed=rounds)
 
 
-def weighted_prefix_combine(gradients: list[np.ndarray], weights: np.ndarray) -> list[np.ndarray]:
-    """output[r] = sum_{j<=r} weights[..., r, j] * gradients[j].
+def weighted_prefix_combine(gradients: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """output[..., r, :] = sum_{j<=r} weights[..., r, j] * gradients[..., j, :].
 
-    Summation runs in ascending j, a fixed order so reductions are
-    reproducible under any scheduling.  `weights` is (..., R, R) lower
-    triangular with batch dimensions broadcasting against the gradients.
+    `gradients` is the stacked (..., R, p) round and `weights` the (..., R, R)
+    lower triangle, batches broadcasting; one matmul, each chain's on its own.
     """
-    R = len(gradients)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape[-2:] != (R, R):
+    gradients, weights = np.asarray(gradients, dtype=float), np.asarray(weights, dtype=float)
+    if gradients.ndim < 2 or weights.shape[-2:] != gradients.shape[-2:-1] * 2:
         raise ConfigurationError(
-            f"weights trailing shape {weights.shape[-2:]} does not match {R} gradients"
+            f"weights shape {weights.shape} does not fit stacked gradients of shape {gradients.shape}"
         )
-    combined = []
-    for r in range(R):
-        acc = weights[..., r, 0, None] * gradients[0]
-        for j in range(1, r + 1):
-            acc = acc + weights[..., r, j, None] * gradients[j]
-        combined.append(acc)
-    return combined
+    return np.matmul(weights, gradients)

@@ -26,6 +26,9 @@ are computed once per refinement round and reused across the prefix sums
 (without this caching the refinement would cost O(R^2) evaluations), and the
 final update evaluates the fresh round-(Q-1) states.
 
+A round is one chain-major (..., R, p) array, slot r at [..., r, :] as in ``xi_mid``;
+its gradients are stacked alike, so the prefix combine and slot sums are matmuls.
+
 States are vectorized: theta has shape (p,) for one chain or (C, p) for an
 ensemble advancing in lockstep.  All randomness is keyed by (seed, iteration,
 role), so trajectories are bitwise independent of the parallel schedule.
@@ -166,25 +169,26 @@ def lmc_step(state: ChainState, config: SamplerConfig, potential: Potential, noi
     return ChainState(theta=new_theta, iteration=state.iteration + 1, v=None)
 
 
+def _round(points, q, config, potential):
+    """Gradients at the slot views points[..., r, :] of a round, stacked as (..., R, p)."""
+    slots = [points[..., r, :] for r in range(points.shape[-2])]
+    plan = RoundPlan(slots, round_index=q, parallel_width=config.parallel_width)
+    return np.stack(execute_round(plan, potential).gradients, axis=-2)
+
+
 def _vanilla_iteration(theta, k, config, potential, R, Q, noise):
     h = config.h
     if noise is None:
         noise = _draw_vanilla(config, k, R, theta.shape[-1], _batch(theta))
     weights = h * noise_mod.vanilla_coefficient_matrix(R, noise.U)
-    points = [theta] * R
+    points = np.broadcast_to(theta[..., None, :], (*theta.shape[:-1], R, theta.shape[-1]))
     for q in range(1, Q):
-        grads = execute_round(
-            RoundPlan(points, round_index=q - 1, parallel_width=config.parallel_width), potential
-        ).gradients
-        combined = weighted_prefix_combine(grads, weights)
-        points = [theta - combined[r] + noise.xi_mid[..., r, :] for r in range(R)]
-    grads = execute_round(
-        RoundPlan(points, round_index=Q - 1, parallel_width=config.parallel_width), potential
-    ).gradients
-    total = grads[0]
-    for r in range(1, R):
-        total = total + grads[r]
-    return theta - (h / R) * total + noise.xi_full
+        points = weighted_prefix_combine(_round(points, q - 1, config, potential), weights)
+        np.subtract(theta[..., None, :], points, out=points)
+        points += noise.xi_mid
+    grads = _round(points, Q - 1, config, potential)
+    # Slot sums as matmuls: numpy's sum over the middle axis is several times slower.
+    return theta - (h / R) * (np.ones(R) @ grads) + noise.xi_full
 
 
 def _kinetic_iteration(theta, v, k, config, potential, R, Q, noise):
@@ -194,25 +198,16 @@ def _kinetic_iteration(theta, v, k, config, potential, R, Q, noise):
     U = noise.U
     a = noise_mod.kinetic_velocity_weight(gamma, h, U)          # (..., R)
     weights = noise_mod.kinetic_coefficient_matrix(R, gamma, h, U)
-    base = [theta + a[..., r, None] * v for r in range(R)]
-    points = [theta] * R
+    base = theta[..., None, :] + a[..., None] * v[..., None, :]
+    points = np.broadcast_to(theta[..., None, :], (*theta.shape[:-1], R, theta.shape[-1]))
     for q in range(1, Q):
-        grads = execute_round(
-            RoundPlan(points, round_index=q - 1, parallel_width=config.parallel_width), potential
-        ).gradients
-        combined = weighted_prefix_combine(grads, weights)
-        points = [base[r] - combined[r] + noise.xi_mid[..., r, :] for r in range(R)]
-    grads = execute_round(
-        RoundPlan(points, round_index=Q - 1, parallel_width=config.parallel_width), potential
-    ).gradients
+        points = weighted_prefix_combine(_round(points, q - 1, config, potential), weights)
+        np.subtract(base, points, out=points)
+        points += noise.xi_mid
+    grads = _round(points, Q - 1, config, potential)
     tail = gamma * h * (1.0 - U)                                # (..., R)
-    w_theta = (h / R) * noise_mod._em1(tail)
-    w_v = (h / R) * np.exp(-tail)
-    sum_theta = w_theta[..., 0, None] * grads[0]
-    sum_v = w_v[..., 0, None] * grads[0]
-    for r in range(1, R):
-        sum_theta = sum_theta + w_theta[..., r, None] * grads[r]
-        sum_v = sum_v + w_v[..., r, None] * grads[r]
+    sum_theta = (((h / R) * noise_mod._em1(tail))[..., None, :] @ grads)[..., 0, :]
+    sum_v = (((h / R) * np.exp(-tail))[..., None, :] @ grads)[..., 0, :]
     new_theta = theta + (noise_mod._em1(gamma * h) / gamma) * v - sum_theta + noise.xi_full
     new_v = np.exp(-gamma * h) * v - gamma * sum_v + gamma * noise.xi_bar
     return new_theta, new_v

@@ -262,3 +262,14 @@ def test_streams_differ_across_keys():
     assert not np.array_equal(base, stream(21, 1, ROLE_PATH).standard_normal(4))
     assert not np.array_equal(base, stream(21, 0, ROLE_MIDPOINTS).standard_normal(4))
     assert not np.array_equal(base, stream(22, 0, ROLE_PATH).standard_normal(4))
+
+
+@pytest.mark.parametrize("seed, iteration, role", [(0, 0, ROLE_PATH), (21, 7, ROLE_MIDPOINTS),
+                                                   (2**40 + 3, 123456, ROLE_PATH), (9, 1, 2)])
+def test_cached_key_stream_matches_fresh_derivation(seed, iteration, role):
+    stream(seed, iteration, role)  # warm the key cache
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    counter = np.array([0, 0, role, iteration], dtype=np.uint64)
+    fresh = np.random.Generator(np.random.Philox(counter=counter, key=key))
+    assert np.array_equal(stream(seed, iteration, role).standard_normal(16), fresh.standard_normal(16))
+    assert np.array_equal(stream(seed, iteration, role).random(16), stream(seed, iteration, role).random(16))

@@ -24,6 +24,7 @@ from parlmc import (
     w2_gaussian,
 )
 from parlmc import noise as noise_mod
+from parlmc.samplers import _kinetic_iteration, _vanilla_iteration, weighted_prefix_combine
 
 
 def _quad(diag, mean=None):
@@ -239,6 +240,100 @@ class TestScalarOracles:
             warnings.simplefilter("ignore", PreconditionWarning)
             out = prklmc_step(ChainState(theta=theta0, v=v0), cfg, pot, noise=zero)
         assert np.allclose(out.theta, theta0 + h * v0, atol=1e-7)
+
+
+def _slot_prefix_combine(grads, weights):
+    """Per-slot reference: a list of gradients, summed in ascending j."""
+    combined = []
+    for r in range(len(grads)):
+        acc = weights[..., r, 0, None] * grads[0]
+        for j in range(1, r + 1):
+            acc = acc + weights[..., r, j, None] * grads[j]
+        combined.append(acc)
+    return combined
+
+
+def slot_vanilla_iteration(theta, h, R, Q, noise, grad):
+    """The vanilla engine written slot by slot, as lists of (..., p) arrays."""
+    weights = h * noise_mod.vanilla_coefficient_matrix(R, noise.U)
+    points = [theta] * R
+    for _ in range(1, Q):
+        combined = _slot_prefix_combine([grad(x) for x in points], weights)
+        points = [theta - combined[r] + noise.xi_mid[..., r, :] for r in range(R)]
+    grads = [grad(x) for x in points]
+    total = grads[0]
+    for r in range(1, R):
+        total = total + grads[r]
+    return theta - (h / R) * total + noise.xi_full
+
+
+def slot_kinetic_iteration(theta, v, h, R, Q, gamma, noise, grad):
+    """The kinetic engine written slot by slot, as lists of (..., p) arrays."""
+    a = noise_mod.kinetic_velocity_weight(gamma, h, noise.U)
+    weights = noise_mod.kinetic_coefficient_matrix(R, gamma, h, noise.U)
+    base = [theta + a[..., r, None] * v for r in range(R)]
+    points = [theta] * R
+    for _ in range(1, Q):
+        combined = _slot_prefix_combine([grad(x) for x in points], weights)
+        points = [base[r] - combined[r] + noise.xi_mid[..., r, :] for r in range(R)]
+    grads = [grad(x) for x in points]
+    tail = gamma * h * (1.0 - noise.U)
+    w_theta = (h / R) * -np.expm1(-tail)
+    w_v = (h / R) * np.exp(-tail)
+    sum_theta = w_theta[..., 0, None] * grads[0]
+    sum_v = w_v[..., 0, None] * grads[0]
+    for r in range(1, R):
+        sum_theta = sum_theta + w_theta[..., r, None] * grads[r]
+        sum_v = sum_v + w_v[..., r, None] * grads[r]
+    new_theta = theta + (-np.expm1(-gamma * h) / gamma) * v - sum_theta + noise.xi_full
+    new_v = np.exp(-gamma * h) * v - gamma * sum_v + gamma * noise.xi_bar
+    return new_theta, new_v
+
+
+class TestStackedEngine:
+    """The stacked (..., R, p) engine against the per-slot reference above."""
+
+    @pytest.mark.parametrize("R, Q", [(4, 3), (24, 4)])
+    @pytest.mark.parametrize("chains", [None, 6])
+    def test_vanilla_matches_slot_reference(self, quad_10d, R, Q, chains):
+        h = 0.01
+        theta = np.random.default_rng(60).standard_normal(10 if chains is None else (chains, 10))
+        u = noise_mod.draw_midpoints(R, noise_mod.stream(60, 0, noise_mod.ROLE_MIDPOINTS), size=chains)
+        noise = noise_mod.draw_vanilla_noise(R, h, 10, u, noise_mod.stream(60, 0, noise_mod.ROLE_PATH))
+        cfg = SamplerConfig(h=h, n=1, R=R, Q=Q)
+        got = _vanilla_iteration(theta, 0, cfg, quad_10d, R, Q, noise)
+        want = slot_vanilla_iteration(theta, h, R, Q, noise, quad_10d.gradient)
+        assert got.shape == theta.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("R, Q", [(4, 3), (24, 4)])
+    @pytest.mark.parametrize("chains", [None, 6])
+    def test_kinetic_matches_slot_reference(self, quad_10d, R, Q, chains):
+        h, gamma = 0.002, 50.0
+        rng = np.random.default_rng(61)
+        shape = 10 if chains is None else (chains, 10)
+        theta, v = rng.standard_normal(shape), rng.standard_normal(shape)
+        u = noise_mod.draw_midpoints(R, noise_mod.stream(61, 0, noise_mod.ROLE_MIDPOINTS), size=chains)
+        noise = noise_mod.draw_kinetic_noise(R, gamma, h, 10, u, noise_mod.stream(61, 0, noise_mod.ROLE_PATH))
+        cfg = SamplerConfig(h=h, n=1, R=R, Q=Q, gamma=gamma)
+        got_theta, got_v = _kinetic_iteration(theta, v, 0, cfg, quad_10d, R, Q, noise)
+        want_theta, want_v = slot_kinetic_iteration(theta, v, h, R, Q, gamma, noise, quad_10d.gradient)
+        assert got_theta.shape == got_v.shape == theta.shape
+        assert np.allclose(got_theta, want_theta, rtol=1e-12, atol=0)
+        assert np.allclose(got_v, want_v, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("R", [4, 37])
+    def test_combine_batch_equals_per_chain_calls(self, R):
+        C, p = 9, 10
+        rng = np.random.default_rng(62)
+        grads = rng.standard_normal((C, R, p))
+        weights = 0.01 * noise_mod.vanilla_coefficient_matrix(R, (np.arange(R) + rng.random((C, R))) / R)
+        batch = weighted_prefix_combine(grads, weights)
+        per_chain = np.stack([weighted_prefix_combine(grads[c], weights[c]) for c in range(C)])
+        assert np.array_equal(batch, per_chain)
+        halves = np.concatenate([weighted_prefix_combine(grads[:4], weights[:4]),
+                                 weighted_prefix_combine(grads[4:], weights[4:])])
+        assert np.array_equal(batch, halves)
 
 
 class TestRunDriver:
