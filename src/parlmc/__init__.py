@@ -43,19 +43,14 @@ from .potentials import (
     QuadraticPotential,
     SyntheticDelayPotential,
     check_gradient_fd,
-    gradient_batch,
 )
 from .samplers import (
     ChainState,
     PreconditionWarning,
     RunTrace,
     SamplerConfig,
-    lmc_step,
-    prklmc_step,
-    prlmc_step,
-    rklmc_step,
-    rlmc_step,
     run,
+    step,
 )
 from .tuning import (
     ConditionCheck,
@@ -105,16 +100,11 @@ __all__ = [
     "draw_vanilla_noise",
     "empirical_summary",
     "execute_round",
-    "gradient_batch",
     "iters_limited",
     "kinetic_covariance",
-    "lmc_step",
-    "prklmc_step",
-    "prlmc_step",
     "psi",
-    "rklmc_step",
-    "rlmc_step",
     "run",
+    "step",
     "stream",
     "theorem1_bound",
     "theorem2_bound",

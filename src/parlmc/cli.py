@@ -14,6 +14,7 @@ threads without changing the round accounting.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -339,16 +340,11 @@ def cmd_benchmark(args) -> int:
     _require(all(w >= 1 for w in widths), "widths must be >= 1")
 
     rows = []
-    baseline = None
     for width in widths:
         config = _sampler_config(raw, args.seed, width)
         trace = run(kind, config, potential, n_chains=1, record_every=max(1, config.n))
-        per_iter = trace.elapsed_seconds / max(1, config.n)
-        if baseline is None or width == 1:
-            baseline = per_iter if width == 1 else baseline
-        rows.append((width, per_iter))
-    if baseline is None:
-        baseline = rows[0][1]
+        rows.append((width, trace.elapsed_seconds / max(1, config.n)))
+    baseline = rows[0][1]  # the narrowest width, 1 when it was scanned
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -373,11 +369,8 @@ def cmd_check(args) -> int:
     regime = "kinetic" if kind in KINETIC_KINDS else "vanilla"
     if regime == "kinetic":
         _require(config.gamma is not None, "kinetic samplers need gamma")
-    from types import SimpleNamespace
-
     eff_r, eff_q = effective_rq(kind, config)
-    view = SimpleNamespace(h=config.h, R=eff_r, Q=eff_q, gamma=config.gamma)
-    checks = check_preconditions(view, potential.spec, regime)
+    checks = check_preconditions(dataclasses.replace(config, R=eff_r, Q=eff_q), potential.spec, regime)
     report = {
         "sampler": kind,
         "regime": regime,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
+from .tuning import KINETIC_STABILITY_MAX, VANILLA_STABILITY_MAX, kinetic_stability_lhs, vanilla_stability_lhs
 
 _SYM_TOL = 1e-10
 _EIG_TOL = 1e-10
@@ -127,14 +128,13 @@ def theorem1_bound(
     disc = 2.1 * (
         hbar**Q + hbar / math.sqrt(R) + (hbar ** (Q - 1) + hbar / R) * math.sqrt(kappa * hbar)
     ) * math.sqrt(p / m)
-    lhs = hbar**Q + hbar / R + (hbar ** (Q - 1) + hbar / R**1.5) * math.sqrt(kappa * hbar)
     return BoundEvaluation(
         theorem="T1",
         initialization_term=init,
         discretization_term=disc,
         total=init + disc,
         measured_w2=measured_w2,
-        precondition_ok=lhs <= 0.1,
+        precondition_ok=vanilla_stability_lhs(hbar, Q, R, kappa) <= VANILLA_STABILITY_MAX,
         terms={"initialization": init, "discretization": disc},
     )
 
@@ -169,7 +169,7 @@ def theorem2_bound(
     t2 = 1.1 * math.sqrt(decay * f_gap / m)
     t3 = 80.11 * math.sqrt(hbar**3 / R**2 + hbar ** (2 * Q - 1)) * math.sqrt(p / m)
     t4 = 4.33 * math.sqrt(hbar**6 / R**3 + hbar ** (4 * Q - 2)) * math.sqrt(kappa * p / m)
-    ok = gamma >= 5 * M and kappa * (hbar**6 / R**3 + hbar ** (4 * Q - 2)) <= 1e-6
+    ok = gamma >= 5 * M and kinetic_stability_lhs(hbar, Q, R, kappa) <= KINETIC_STABILITY_MAX
     return BoundEvaluation(
         theorem="T2",
         initialization_term=t1 + t2,

@@ -66,7 +66,6 @@ class RoundPlan:
     """R evaluation points for one round plus the worker budget."""
 
     points: list[np.ndarray]
-    round_index: int = 0
     parallel_width: int | None = None  # None means unbounded (= R)
 
 

@@ -159,6 +159,12 @@ class QuadraticPotential(Potential):
         return np.linalg.inv(self.precision)
 
 
+def _sigmoid_neg(u):
+    """sigma(-u) = 1 / (1 + e^u), overflow-safe on both tails: e^{-|u|} is all it exponentiates."""
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, e, 1.0) / (1 + e)
+
+
 class LogisticRidgePotential(Potential):
     """Ridge-regularized logistic log-loss.
 
@@ -193,9 +199,7 @@ class LogisticRidgePotential(Potential):
         return (theta @ self.X.T) * self.y  # (..., N)
 
     def _gradient(self, theta):
-        u = self._margins(theta)
-        # sigma(-u), overflow-safe on both tails
-        w = np.where(u >= 0, np.exp(-np.abs(u)) / (1 + np.exp(-np.abs(u))), 1 / (1 + np.exp(-np.abs(u))))
+        w = _sigmoid_neg(self._margins(theta))
         return -(w * self.y) @ self.X + self.ridge * theta
 
     def _value(self, theta):
@@ -205,8 +209,7 @@ class LogisticRidgePotential(Potential):
     def _solve_minimizer(self, p, m, M):
         theta = np.zeros(p)
         for _ in range(100):
-            u = (self.X @ theta) * self.y
-            w = np.where(u >= 0, np.exp(-np.abs(u)) / (1 + np.exp(-np.abs(u))), 1 / (1 + np.exp(-np.abs(u))))
+            w = _sigmoid_neg((self.X @ theta) * self.y)
             g = -(w * self.y) @ self.X + self.ridge * theta
             if np.linalg.norm(g, np.inf) <= _MINIMIZER_GTOL * M * (1 + np.linalg.norm(theta)):
                 break
@@ -267,18 +270,6 @@ class SyntheticDelayPotential(Potential):
 
     def _value(self, theta):
         return 0.5 * np.sum(theta * theta, axis=-1)
-
-
-def gradient_batch(potential: Potential, points, parallel_width: int) -> list[np.ndarray]:
-    """Evaluate gradients for a list of points, in input order.
-
-    Counts len(points) oracle queries and ceil(len / parallel_width)
-    sequential rounds; execution is delegated to the round engine.
-    """
-    from .parallel import RoundPlan, execute_round
-
-    plan = RoundPlan(points=list(points), parallel_width=parallel_width)
-    return execute_round(plan, potential).gradients
 
 
 def check_gradient_fd(potential: Potential, theta, step: float = 1e-5) -> float:

@@ -3,7 +3,8 @@
 Five kinds share one inner-loop engine, parameterized by the coefficient
 rule, the noise family, and whether a velocity is carried:
 
-* ``lmc``     Euler step  theta' = theta - h grad f(theta) + sqrt(2h) z.
+* ``lmc``     Euler step  theta' = theta - h grad f(theta) + sqrt(2h) z: the
+  engine at R = 1, Q = 1, drawing z alone.
 * ``rlmc``    randomized midpoint, the engine at R = 1, Q = 2 (vanilla rule).
 * ``prlmc``   parallel randomized midpoint: per outer step, Q - 1 refinement
   rounds update R stratified midpoint states
@@ -12,7 +13,9 @@ rule, the noise family, and whether a velocity is carried:
   theta' = theta - (h/R) sum_r grad f(theta_r) + xi.
 * ``rklmc``   kinetic randomized midpoint, the engine at R = 1, Q = 2
   (kinetic rule); equals the exponential-integrator two-stage scheme written
-  with psi(x) = (1 - e^{-x})/x.
+  with psi(x) = (1 - e^{-x})/x: at R = 1 the velocity weight is
+  U h psi(gamma U h), the gradient weight is U h (1 - psi(gamma U h)), and the
+  final-stage weights reduce to h psi(gamma h) and gamma h^2 (1 - U) psi(gamma h (1 - U)).
 * ``prklmc``  parallel kinetic variant: refinement rounds use
   theta_r = theta + a_r v - sum_{j<=r} b_j grad f(theta_j^{prev}) + xi_r with
   a_r = (1 - e^{-gamma h U_r})/gamma, then
@@ -32,8 +35,9 @@ its gradients are stacked alike, so the prefix combine and slot sums are matmuls
 States are vectorized: theta has shape (p,) for one chain or (C, p) for an
 ensemble advancing in lockstep.  All randomness is keyed by (seed, iteration,
 role), so trajectories are bitwise independent of the parallel schedule.
-Step functions accept a `noise` override so tests can force zero or fixed
-noise; the `run` driver never overrides.
+`step(kind, state, config, potential)` advances one outer iteration at the
+kind's (R, Q) from `effective_rq`; its `noise` override lets tests force zero
+or fixed noise, and the `run` driver never overrides.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import csv
 import io
 import json
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
@@ -137,127 +141,75 @@ def effective_rq(kind: str, config: SamplerConfig) -> tuple[int, int]:
     return config.R, config.Q
 
 
-def _batch(theta: np.ndarray) -> int | None:
-    return None if theta.ndim == 1 else theta.shape[0]
-
-
-def _draw_vanilla(config: SamplerConfig, k: int, R: int, p: int, size):
+def _draw(kind, config, k, R, theta):
+    """Iteration k's noise: lmc's bare xi, else the midpoints and the regime's path draw."""
+    if kind == "lmc":
+        rng = noise_mod.stream(config.seed, k, noise_mod.ROLE_PATH)
+        return np.sqrt(2.0 * config.h) * rng.standard_normal(theta.shape)
+    size = None if theta.ndim == 1 else theta.shape[0]
     u = noise_mod.draw_midpoints(R, noise_mod.stream(config.seed, k, noise_mod.ROLE_MIDPOINTS), size=size)
-    return noise_mod.draw_vanilla_noise(
-        R, config.h, p, u, noise_mod.stream(config.seed, k, noise_mod.ROLE_PATH)
-    )
+    rng = noise_mod.stream(config.seed, k, noise_mod.ROLE_PATH)
+    if kind in KINETIC_KINDS:
+        return noise_mod.draw_kinetic_noise(R, config.gamma, config.h, theta.shape[-1], u, rng)
+    return noise_mod.draw_vanilla_noise(R, config.h, theta.shape[-1], u, rng)
 
 
-def _draw_kinetic(config: SamplerConfig, k: int, R: int, p: int, size):
-    u = noise_mod.draw_midpoints(R, noise_mod.stream(config.seed, k, noise_mod.ROLE_MIDPOINTS), size=size)
-    return noise_mod.draw_kinetic_noise(
-        R, config.gamma, config.h, p, u, noise_mod.stream(config.seed, k, noise_mod.ROLE_PATH)
-    )
-
-
-def lmc_step(state: ChainState, config: SamplerConfig, potential: Potential, noise=None) -> ChainState:
-    """One Euler step; noise defaults to N(0, 2h I) from the keyed stream."""
-    theta = state.theta
-    if noise is None:
-        rng = noise_mod.stream(config.seed, state.iteration, noise_mod.ROLE_PATH)
-        xi = np.sqrt(2.0 * config.h) * rng.standard_normal(theta.shape)
-    else:
-        xi = noise.xi_full if isinstance(noise, noise_mod.VanillaNoiseDraw) else np.asarray(noise)
-    g = execute_round(RoundPlan([theta], parallel_width=config.parallel_width), potential).gradients[0]
-    new_theta = theta - config.h * g + xi
-    _raise_if_nonfinite(new_theta, state.iteration)
-    return ChainState(theta=new_theta, iteration=state.iteration + 1, v=None)
-
-
-def _round(points, q, config, potential):
-    """Gradients at the slot views points[..., r, :] of a round, stacked as (..., R, p)."""
-    slots = [points[..., r, :] for r in range(points.shape[-2])]
-    plan = RoundPlan(slots, round_index=q, parallel_width=config.parallel_width)
+def _round(points, config, potential):
+    """Gradients at a round's R points, (..., p) each, stacked as (..., R, p)."""
+    plan = RoundPlan(points, parallel_width=config.parallel_width)
     return np.stack(execute_round(plan, potential).gradients, axis=-2)
 
 
-def _vanilla_iteration(theta, k, config, potential, R, Q, noise):
-    h = config.h
-    if noise is None:
-        noise = _draw_vanilla(config, k, R, theta.shape[-1], _batch(theta))
-    weights = h * noise_mod.vanilla_coefficient_matrix(R, noise.U)
-    points = np.broadcast_to(theta[..., None, :], (*theta.shape[:-1], R, theta.shape[-1]))
-    for q in range(1, Q):
-        points = weighted_prefix_combine(_round(points, q - 1, config, potential), weights)
-        np.subtract(theta[..., None, :], points, out=points)
-        points += noise.xi_mid
-    grads = _round(points, Q - 1, config, potential)
-    # Slot sums as matmuls: numpy's sum over the middle axis is several times slower.
-    return theta - (h / R) * (np.ones(R) @ grads) + noise.xi_full
+def _refine(kind, theta, v, R, Q, noise, config, potential):
+    """Gradients of the last round's points, after Q - 1 refinement rounds.
 
-
-def _kinetic_iteration(theta, v, k, config, potential, R, Q, noise):
-    h, gamma = config.h, config.gamma
-    if noise is None:
-        noise = _draw_kinetic(config, k, R, theta.shape[-1], _batch(theta))
-    U = noise.U
-    a = noise_mod.kinetic_velocity_weight(gamma, h, U)          # (..., R)
-    weights = noise_mod.kinetic_coefficient_matrix(R, gamma, h, U)
-    base = theta[..., None, :] + a[..., None] * v[..., None, :]
-    points = np.broadcast_to(theta[..., None, :], (*theta.shape[:-1], R, theta.shape[-1]))
-    for q in range(1, Q):
-        points = weighted_prefix_combine(_round(points, q - 1, config, potential), weights)
+    The first round evaluates R copies of theta; each refinement round sets
+    the points to base - weights @ grads + xi_mid, with the regime's base and
+    weights, and evaluates their slot views points[..., r, :].
+    """
+    grads = _round([theta] * R, config, potential)
+    if Q > 1:
+        h, gamma = config.h, config.gamma
+        if kind in KINETIC_KINDS:
+            a = noise_mod.kinetic_velocity_weight(gamma, h, noise.U)      # (..., R)
+            weights = noise_mod.kinetic_coefficient_matrix(R, gamma, h, noise.U)
+            base = theta[..., None, :] + a[..., None] * v[..., None, :]
+        else:
+            weights = h * noise_mod.vanilla_coefficient_matrix(R, noise.U)
+            base = theta[..., None, :]
+    for _ in range(1, Q):
+        points = weighted_prefix_combine(grads, weights)
         np.subtract(base, points, out=points)
         points += noise.xi_mid
-    grads = _round(points, Q - 1, config, potential)
-    tail = gamma * h * (1.0 - U)                                # (..., R)
-    sum_theta = (((h / R) * noise_mod._em1(tail))[..., None, :] @ grads)[..., 0, :]
-    sum_v = (((h / R) * np.exp(-tail))[..., None, :] @ grads)[..., 0, :]
-    new_theta = theta + (noise_mod._em1(gamma * h) / gamma) * v - sum_theta + noise.xi_full
-    new_v = np.exp(-gamma * h) * v - gamma * sum_v + gamma * noise.xi_bar
-    return new_theta, new_v
+        grads = _round([points[..., r, :] for r in range(R)], config, potential)
+    return grads
 
 
-def prlmc_step(state: ChainState, config: SamplerConfig, potential: Potential, noise=None) -> ChainState:
-    """One parallel randomized-midpoint step (vanilla rule, config R and Q)."""
-    new_theta = _vanilla_iteration(state.theta, state.iteration, config, potential, config.R, config.Q, noise)
-    _raise_if_nonfinite(new_theta, state.iteration)
-    return ChainState(theta=new_theta, iteration=state.iteration + 1, v=None)
+def step(kind: str, state: ChainState, config: SamplerConfig, potential: Potential, noise=None) -> ChainState:
+    """One outer iteration of `kind` at its effective (R, Q).
 
-
-def rlmc_step(state: ChainState, config: SamplerConfig, potential: Potential, noise=None) -> ChainState:
-    """Sequential randomized midpoint: the engine at R = 1, Q = 2."""
-    new_theta = _vanilla_iteration(state.theta, state.iteration, config, potential, 1, 2, noise)
-    _raise_if_nonfinite(new_theta, state.iteration)
-    return ChainState(theta=new_theta, iteration=state.iteration + 1, v=None)
-
-
-def prklmc_step(state: ChainState, config: SamplerConfig, potential: Potential, noise=None) -> ChainState:
-    """One parallel kinetic randomized-midpoint step (config R and Q)."""
-    new_theta, new_v = _kinetic_iteration(
-        state.theta, state.v, state.iteration, config, potential, config.R, config.Q, noise
-    )
-    _raise_if_nonfinite(new_theta, state.iteration)
-    return ChainState(theta=new_theta, iteration=state.iteration + 1, v=new_v)
-
-
-def rklmc_step(state: ChainState, config: SamplerConfig, potential: Potential, noise=None) -> ChainState:
-    """Sequential kinetic randomized midpoint: the engine at R = 1, Q = 2.
-
-    Structurally identical to the psi-form two-stage scheme: at R = 1 the
-    velocity weight is U h psi(gamma U h), the gradient weight is
-    U h (1 - psi(gamma U h)), and the final-stage weights reduce to
-    h psi(gamma h) and gamma h^2 (1 - U) psi(gamma h (1 - U)).
+    `noise` replaces the keyed draw: a VanillaNoiseDraw or KineticNoiseDraw
+    for the kind's regime, or for lmc also the bare xi array.
     """
-    new_theta, new_v = _kinetic_iteration(
-        state.theta, state.v, state.iteration, config, potential, 1, 2, noise
-    )
+    R, Q = effective_rq(kind, config)
+    theta, v, h, gamma = state.theta, state.v, config.h, config.gamma
+    if noise is None:
+        noise = _draw(kind, config, state.iteration, R, theta)
+    bare = kind == "lmc" and not isinstance(noise, noise_mod.VanillaNoiseDraw)
+    xi = np.asarray(noise) if bare else noise.xi_full
+    grads = _refine(kind, theta, v, R, Q, noise, config, potential)
+    if kind in KINETIC_KINDS:
+        tail = gamma * h * (1.0 - noise.U)                              # (..., R)
+        sum_theta = (((h / R) * noise_mod._em1(tail))[..., None, :] @ grads)[..., 0, :]
+        sum_v = (((h / R) * np.exp(-tail))[..., None, :] @ grads)[..., 0, :]
+        new_theta = theta + (noise_mod._em1(gamma * h) / gamma) * v - sum_theta + xi
+        v = np.exp(-gamma * h) * v - gamma * sum_v + gamma * noise.xi_bar
+    else:
+        # Slot sums as matmuls: numpy's sum over the middle axis is several times slower.
+        new_theta = theta - (h / R) * (np.ones(R) @ grads) + xi
+        v = None
     _raise_if_nonfinite(new_theta, state.iteration)
-    return ChainState(theta=new_theta, iteration=state.iteration + 1, v=new_v)
-
-
-_STEPPERS = {
-    "lmc": lmc_step,
-    "rlmc": rlmc_step,
-    "prlmc": prlmc_step,
-    "rklmc": rklmc_step,
-    "prklmc": prklmc_step,
-}
+    return ChainState(theta=new_theta, iteration=state.iteration + 1, v=v)
 
 
 def _raise_if_nonfinite(theta, iteration):
@@ -379,9 +331,7 @@ def run(
 
     regime = "vanilla" if kind in VANILLA_KINDS else "kinetic"
     eff_r, eff_q = effective_rq(kind, config)
-    checks = check_preconditions(
-        _EffectiveView(config.h, eff_r, eff_q, config.gamma), potential.spec, regime
-    )
+    checks = check_preconditions(replace(config, R=eff_r, Q=eff_q), potential.spec, regime)
     trace_warnings = []
     for check in checks:
         if not check.passed:
@@ -396,7 +346,6 @@ def run(
     state = _initial_state(kind, config, potential, n_chains)
     norm0 = float(np.sqrt(np.sum(state.theta**2, axis=-1)).max())
     threshold = DIVERGENCE_FACTOR * (1.0 + norm0)
-    stepper = _STEPPERS[kind]
 
     trace = RunTrace(
         kind=kind,
@@ -419,7 +368,7 @@ def run(
     record(state)
     for k in range(config.n):
         try:
-            state = stepper(state, config, potential)
+            state = step(kind, state, config, potential)
         except DivergenceError as exc:
             trace.counters = potential.counter.snapshot()
             trace.elapsed_seconds = perf_counter() - start
@@ -445,10 +394,3 @@ def run(
     trace.final_state = state
     return trace
 
-
-@dataclass(frozen=True)
-class _EffectiveView:
-    h: float
-    R: int
-    Q: int
-    gamma: float | None

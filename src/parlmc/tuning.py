@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
+from .potentials import PotentialSpec
 
 VANILLA_STABILITY_MAX = 0.1
 KINETIC_STABILITY_MAX = 1e-6
@@ -122,9 +123,10 @@ def kinetic_stability_lhs(hbar: float, Q: int, R: int, kappa: float) -> float:
 def check_preconditions(config, spec, regime: str) -> list[ConditionCheck]:
     """Evaluate the stability inequalities for a sampler configuration.
 
-    `config` needs attributes h, R, Q (and gamma for the kinetic regime);
-    `spec` needs strong_convexity and smoothness.  Nothing is enforced; the
-    caller decides whether a failed check warns or aborts.
+    `config` has h, R, Q (and gamma for the kinetic regime), as a SamplerConfig
+    or a TunePlan does; `spec` has strong_convexity and smoothness, as a
+    PotentialSpec does.  Nothing is enforced; the caller decides whether a
+    failed check warns or aborts.
     """
     m, M = spec.strong_convexity, spec.smoothness
     kappa = M / m
@@ -212,7 +214,7 @@ def tune_vanilla(req: TuneRequest) -> TunePlan:
         total_gradient_evals=n * Q * R,
         warnings=warnings,
     )
-    plan.preconditions = check_preconditions(_PlanView(h, R, Q, None), _SpecView(req.m, req.M), "vanilla")
+    plan.preconditions = check_preconditions(plan, PotentialSpec(req.p, req.m, req.M), "vanilla")
     return plan
 
 
@@ -237,7 +239,7 @@ def tune_kinetic(req: TuneRequest) -> TunePlan:
         total_gradient_evals=n * Q * R,
         warnings=warnings,
     )
-    plan.preconditions = check_preconditions(_PlanView(h, R, Q, gamma), _SpecView(req.m, req.M), "kinetic")
+    plan.preconditions = check_preconditions(plan, PotentialSpec(req.p, req.m, req.M), "kinetic")
     return plan
 
 
@@ -264,17 +266,3 @@ def iters_limited(regime: str, kappa: float, epsilon: float, R: int) -> int:
     else:
         raise ConfigurationError(f"unknown regime {regime!r}")
     return max(1, math.ceil(base * (1.0 + extra)))
-
-
-@dataclass(frozen=True)
-class _PlanView:
-    h: float
-    R: int
-    Q: int
-    gamma: float | None
-
-
-@dataclass(frozen=True)
-class _SpecView:
-    strong_convexity: float
-    smoothness: float

@@ -26,8 +26,8 @@ from parlmc import (
     check_gradient_fd,
     empirical_summary,
     kinetic_covariance,
-    lmc_step,
     run,
+    step,
     theorem1_bound,
     theorem2_bound,
     tune_kinetic,
@@ -170,7 +170,7 @@ def test_criterion_03_reduction_equivalences():
     for k in range(n):
         u = noise_mod.draw_midpoints(4, noise_mod.stream(303, k, ROLE_MIDPOINTS))
         nd = noise_mod.draw_vanilla_noise(4, h, 2, u, noise_mod.stream(303, k, ROLE_PATH))
-        state = lmc_step(state, cfg1, ref, noise=nd.xi_full)
+        state = step("lmc", state, cfg1, ref, noise=nd.xi_full)
     lmc_ok = np.array_equal(engine_q1, state.theta)
 
     _report(3, "reduction equivalences",

@@ -16,15 +16,13 @@ from parlmc import (
     QuadraticPotential,
     SamplerConfig,
     empirical_summary,
-    lmc_step,
-    prklmc_step,
-    prlmc_step,
     psi,
     run,
+    step,
     w2_gaussian,
 )
 from parlmc import noise as noise_mod
-from parlmc.samplers import _kinetic_iteration, _vanilla_iteration, weighted_prefix_combine
+from parlmc.samplers import KINDS, KINETIC_KINDS, weighted_prefix_combine
 
 
 def _quad(diag, mean=None):
@@ -90,14 +88,14 @@ class TestLmcStep:
         pot = _quad([1.0])
         cfg = SamplerConfig(h=0.1, n=1)
         state = ChainState(theta=np.array([1.0]))
-        out = lmc_step(state, cfg, pot, noise=np.zeros(1))
+        out = step("lmc", state, cfg, pot, noise=np.zeros(1))
         assert out.theta[0] == pytest.approx(0.9)
 
     def test_minimizer_is_fixed_point(self):
         pot = _quad([1.0, 10.0], mean=[2.0, -1.0])
         cfg = SamplerConfig(h=0.05, n=1)
         state = ChainState(theta=np.array([2.0, -1.0]))
-        out = lmc_step(state, cfg, pot, noise=np.zeros(2))
+        out = step("lmc", state, cfg, pot, noise=np.zeros(2))
         assert np.array_equal(out.theta, state.theta)
 
     def test_stationary_variance_ar1(self):
@@ -144,7 +142,7 @@ class TestReductionEquivalences:
         for k in range(cfg.n):
             u = noise_mod.draw_midpoints(4, noise_mod.stream(43, k, noise_mod.ROLE_MIDPOINTS))
             nd = noise_mod.draw_vanilla_noise(4, cfg.h, 2, u, noise_mod.stream(43, k, noise_mod.ROLE_PATH))
-            state = lmc_step(state, cfg, pot2, noise=nd.xi_full)
+            state = step("lmc", state, cfg, pot2, noise=nd.xi_full)
         assert np.array_equal(trace.final_state.theta, state.theta)
 
     def test_prklmc_r1q2_equals_rklmc_kind(self):
@@ -186,7 +184,7 @@ class TestScalarOracles:
         state = ChainState(theta=np.array([1.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PreconditionWarning)
-            out = prlmc_step(state, cfg, pot, noise=zero)
+            out = step("prlmc", state, cfg, pot, noise=zero)
         want = naive_prlmc_step(np.array([1.0]), h, R, Q, U,
                                 np.zeros((R, 1)), np.zeros(1), lambda t: t)
         assert np.allclose(out.theta, want, rtol=1e-12)
@@ -203,7 +201,7 @@ class TestScalarOracles:
         theta0 = np.array([0.7, -1.1])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PreconditionWarning)
-            out = prlmc_step(ChainState(theta=theta0), cfg, pot, noise=fixed)
+            out = step("prlmc", ChainState(theta=theta0), cfg, pot, noise=fixed)
         want = naive_prlmc_step(theta0, h, R, Q, U, xi_mid, xi_full,
                                 lambda t: (t - pot.mean) @ pot.precision)
         assert np.allclose(out.theta, want, rtol=1e-12)
@@ -221,7 +219,7 @@ class TestScalarOracles:
         theta0, v0 = np.array([0.7, -1.1]), np.array([0.2, 0.4])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PreconditionWarning)
-            out = prklmc_step(ChainState(theta=theta0, v=v0), cfg, pot, noise=fixed)
+            out = step("prklmc", ChainState(theta=theta0, v=v0), cfg, pot, noise=fixed)
         want_theta, want_v = naive_prklmc_step(theta0, v0, h, R, Q, gamma, U,
                                                xi_mid, xi_full, xi_bar,
                                                lambda t: (t - pot.mean) @ pot.precision)
@@ -238,7 +236,7 @@ class TestScalarOracles:
         theta0, v0 = np.zeros(2), np.array([1.0, -2.0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PreconditionWarning)
-            out = prklmc_step(ChainState(theta=theta0, v=v0), cfg, pot, noise=zero)
+            out = step("prklmc", ChainState(theta=theta0, v=v0), cfg, pot, noise=zero)
         assert np.allclose(out.theta, theta0 + h * v0, atol=1e-7)
 
 
@@ -301,7 +299,7 @@ class TestStackedEngine:
         u = noise_mod.draw_midpoints(R, noise_mod.stream(60, 0, noise_mod.ROLE_MIDPOINTS), size=chains)
         noise = noise_mod.draw_vanilla_noise(R, h, 10, u, noise_mod.stream(60, 0, noise_mod.ROLE_PATH))
         cfg = SamplerConfig(h=h, n=1, R=R, Q=Q)
-        got = _vanilla_iteration(theta, 0, cfg, quad_10d, R, Q, noise)
+        got = step("prlmc", ChainState(theta=theta), cfg, quad_10d, noise=noise).theta
         want = slot_vanilla_iteration(theta, h, R, Q, noise, quad_10d.gradient)
         assert got.shape == theta.shape
         assert np.allclose(got, want, rtol=1e-12, atol=0)
@@ -316,7 +314,8 @@ class TestStackedEngine:
         u = noise_mod.draw_midpoints(R, noise_mod.stream(61, 0, noise_mod.ROLE_MIDPOINTS), size=chains)
         noise = noise_mod.draw_kinetic_noise(R, gamma, h, 10, u, noise_mod.stream(61, 0, noise_mod.ROLE_PATH))
         cfg = SamplerConfig(h=h, n=1, R=R, Q=Q, gamma=gamma)
-        got_theta, got_v = _kinetic_iteration(theta, v, 0, cfg, quad_10d, R, Q, noise)
+        got = step("prklmc", ChainState(theta=theta, v=v), cfg, quad_10d, noise=noise)
+        got_theta, got_v = got.theta, got.v
         want_theta, want_v = slot_kinetic_iteration(theta, v, h, R, Q, gamma, noise, quad_10d.gradient)
         assert got_theta.shape == got_v.shape == theta.shape
         assert np.allclose(got_theta, want_theta, rtol=1e-12, atol=0)
@@ -334,6 +333,40 @@ class TestStackedEngine:
         halves = np.concatenate([weighted_prefix_combine(grads[:4], weights[:4]),
                                  weighted_prefix_combine(grads[4:], weights[4:])])
         assert np.array_equal(batch, halves)
+
+
+class TestStepEntryPoint:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("chains", [1, 5])
+    def test_run_equals_successive_steps(self, kind, chains):
+        kinetic = kind in KINETIC_KINDS
+        rng = np.random.default_rng(70)
+        shape = (2,) if chains == 1 else (chains, 2)
+        theta0, v0 = rng.standard_normal(shape), rng.standard_normal(shape)
+        cfg = SamplerConfig(h=0.01, n=12, R=4, Q=3, gamma=20.0 if kinetic else None, seed=71,
+                            theta0=theta0, v0=v0 if kinetic else None)
+        trace = _silent_run(kind, cfg, _quad([1.0, 3.0]), n_chains=chains, record_every=5)
+        state = ChainState(theta=theta0.copy(), v=v0.copy() if kinetic else None)
+        pot = _quad([1.0, 3.0])
+        for _ in range(cfg.n):
+            state = step(kind, state, cfg, pot)
+        assert trace.final_state.iteration == state.iteration == cfg.n
+        assert np.array_equal(trace.final_state.theta, state.theta)
+        if kinetic:
+            assert np.array_equal(trace.final_state.v, state.v)
+        else:
+            assert trace.final_state.v is None and state.v is None
+
+    @pytest.mark.parametrize("shape", [(2,), (4, 2)])
+    def test_lmc_draws_its_own_keyed_increment(self, shape):
+        pot = _quad([1.0, 3.0], mean=[0.5, -0.5])
+        cfg = SamplerConfig(h=0.02, n=1, R=4, Q=3, seed=72)
+        theta = np.random.default_rng(73).standard_normal(shape)
+        out = step("lmc", ChainState(theta=theta, iteration=7), cfg, pot)
+        z = noise_mod.stream(72, 7, noise_mod.ROLE_PATH).standard_normal(theta.shape)
+        want = theta - cfg.h * pot.gradient(theta) + np.sqrt(2.0 * cfg.h) * z
+        assert out.iteration == 8
+        assert np.array_equal(out.theta, want)
 
 
 class TestRunDriver:
