@@ -11,11 +11,13 @@ One outer iteration of the parallel samplers consumes, per chain:
   ``xi_bar = sqrt(2) int_0^{h}      e^{-gamma (h - s)}          dW(s)``,
   all driven by one Brownian path on ``[0, h]``.
 
-The vanilla draw sums independent Gaussian increments over the ordered times
-``h U_1 < ... < h U_R < h`` (exact, O(R)).  The kinetic draw assembles the
-per-coordinate covariance of the R+2 vectors in closed form via the Ito
-isometry and applies its Cholesky factor to standard normals (exact in h; no
-path discretization).
+Both draws walk the one Brownian path over the ordered times
+``h U_1 <= ... <= h U_R <= h`` with independent Gaussian increments (exact in
+h, O(R), no path discretization).  The vanilla walk carries W; the kinetic
+walk carries ``D(t) = int_0^t (1 - e^{-gamma (t - s)}) dW`` and
+``Y(t) = int_0^t e^{-gamma (t - s)} dW``, a Markov pair whose increments over
+each gap are a 2x2 Gaussian.  :func:`kinetic_covariance` is the closed-form
+Ito-isometry covariance of the kinetic draw, kept as its reference.
 
 Streams are counter-based (Philox) and keyed by ``(seed, iteration, role)``,
 so draws are bit-reproducible and independent of thread scheduling.  The
@@ -40,8 +42,6 @@ ROLE_VELOCITY = 2
 
 _SQRT2 = np.sqrt(2.0)
 
-# Cholesky fallback for covariances that are PSD up to rounding.
-_CHOLESKY_JITTER = 1e-12
 # Eigenvalue tolerance when validating an assembled covariance.
 _PSD_TOL = 1e-10
 
@@ -158,9 +158,7 @@ def vanilla_coefficient_matrix(R: int, U: np.ndarray) -> np.ndarray:
     """Lower-triangular (..., R, R) matrix of min{1/R, U_r - (j-1)/R} weights."""
     u = np.asarray(U, dtype=float)
     j = np.arange(R)  # j-1 for j = 1..R
-    a = np.minimum(1.0 / R, u[..., :, None] - j / R)
-    tri = np.tril(np.ones((R, R)))
-    return np.where(tri > 0, a, 0.0)
+    return np.tril(np.minimum(1.0 / R, u[..., :, None] - j / R))
 
 
 def coeff_b_kinetic(R: int, gamma: float, h: float, U, j: int, r: int) -> float:
@@ -188,14 +186,28 @@ def kinetic_coefficient_matrix(R: int, gamma: float, h: float, U: np.ndarray) ->
     u1 = (j - 1) * h / R
     u2 = (h / R) * np.minimum(j, R * u[..., :, None])
     length = u2 - u1
-    b = length - np.exp(-gamma * (u[..., :, None] * h - u2)) * _em1(gamma * length) / gamma
-    tri = np.tril(np.ones((R, R)))
-    return np.where(tri > 0, b, 0.0)
+    return np.tril(length - np.exp(-gamma * (u[..., :, None] * h - u2)) * _em1(gamma * length) / gamma)
 
 
 def kinetic_velocity_weight(gamma: float, h: float, U) -> np.ndarray:
     """Velocity coefficient (1 - e^{-gamma h U}) / gamma of the inner rounds."""
     return _em1(gamma * h * np.asarray(U, dtype=float)) / gamma
+
+
+def _time_grid(h: float, U, size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints U broadcast to `size` chains, and the times (h U_1..h U_R, h)."""
+    u = np.asarray(U, dtype=float)
+    if size is not None and u.ndim == 1:
+        u = np.broadcast_to(u, (int(size),) + u.shape).copy()
+    return u, np.concatenate([u * h, np.full(u.shape[:-1] + (1,), float(h))], axis=-1)
+
+
+def _gaps(times: np.ndarray) -> np.ndarray:
+    """Lengths of the R+1 intervals between consecutive path times, from 0."""
+    dt = np.diff(times, axis=-1, prepend=0.0)
+    if np.any(dt < 0):
+        raise InternalError("midpoint times are not nondecreasing")
+    return dt
 
 
 def draw_vanilla_noise(
@@ -212,37 +224,27 @@ def draw_vanilla_noise(
     summing independent increments, then scales by sqrt(2).  Per coordinate,
     Cov(xi_r, xi_s) = 2 h min(U_r, U_s), Cov(xi_r, xi) = 2 h U_r, Var(xi) = 2h.
     """
-    u = np.asarray(U, dtype=float)
-    if size is not None and u.ndim == 1:
-        u = np.broadcast_to(u, (int(size), R)).copy()
-    times = np.concatenate([u * h, np.full(u.shape[:-1] + (1,), float(h))], axis=-1)
-    dt = np.diff(times, axis=-1, prepend=0.0)
-    if np.any(dt < 0):
-        raise InternalError("midpoint times are not nondecreasing")
+    u, times = _time_grid(h, U, size)
+    dt = _gaps(times)
     z = rng.standard_normal(times.shape + (p,))
     path = np.cumsum(np.sqrt(dt)[..., None] * z, axis=-2)
     return VanillaNoiseDraw(U=u, xi_mid=_SQRT2 * path[..., :R, :], xi_full=_SQRT2 * path[..., R, :])
 
 
-def kinetic_covariance(
-    R: int,
-    gamma: float,
-    h: float,
-    U: np.ndarray,
-    validate: bool = True,
-) -> np.ndarray:
+def kinetic_covariance(R: int, gamma: float, h: float, U: np.ndarray) -> np.ndarray:
     """Per-coordinate covariance of (xi_1..xi_R, xi, xi_bar), closed form.
 
     Entry (i, j) equals 2 int_0^h g_i(s) g_j(s) ds by the Ito isometry, where
     g_r(s) = 1{s <= h U_r} (1 - e^{-gamma (h U_r - s)}) for the midpoints,
     g for xi uses h in place of h U_r, and g for xi_bar is e^{-gamma (h - s)}.
     All entries are sums of exponentials (series-stabilized for small gamma h).
+    The reference for :func:`draw_kinetic_noise`; raises InternalError if the
+    result is not PSD to 1e-10.
     """
     if gamma <= 0 or h <= 0:
         raise DomainError("gamma and h must be positive")
-    u = np.asarray(U, dtype=float)
+    u, taus = _time_grid(h, U)  # taus: (..., R+1)
     batch = u.shape[:-1]
-    taus = np.concatenate([u * h, np.full(batch + (1,), float(h))], axis=-1)  # (..., R+1)
 
     lo = np.minimum(taus[..., :, None], taus[..., None, :])
     hi = np.maximum(taus[..., :, None], taus[..., None, :])
@@ -260,13 +262,12 @@ def kinetic_covariance(
     cov[..., R + 1, R + 1] = var_bar
     cov *= 2.0
 
-    if validate:
-        eigs = np.linalg.eigvalsh(cov)
-        if np.any(eigs < -_PSD_TOL):
-            raise InternalError(
-                f"assembled kinetic covariance has eigenvalue {eigs.min():.3e} < -{_PSD_TOL:g} "
-                f"(gamma={gamma}, h={h})"
-            )
+    eigs = np.linalg.eigvalsh(cov)
+    if np.any(eigs < -_PSD_TOL):
+        raise InternalError(
+            f"assembled kinetic covariance has eigenvalue {eigs.min():.3e} < -{_PSD_TOL:g} "
+            f"(gamma={gamma}, h={h})"
+        )
     return cov
 
 
@@ -281,29 +282,28 @@ def draw_kinetic_noise(
 ) -> KineticNoiseDraw:
     """Exact joint draw of (xi_1..xi_R, xi, xi_bar) given the midpoints U.
 
-    Cholesky-factorizes the closed-form covariance (recomputed every call
-    because U changes; O(R^3) accepted) and applies it to p independent
-    standard-normal (R+2)-vectors.  Coordinates are independent.
+    Walks (D, Y) over the ordered times h U_1 <= ... <= h U_R <= h.  A gap of
+    length dt (x = gamma dt) adds independent (d, y) with Var y =
+    (1 - e^{-2x}) / (2 gamma), Cov(d, y) = g3(x) / gamma, Var d = g2(x) / gamma,
+    then D <- D + (1 - e^{-x}) Y + d and Y <- e^{-x} Y + y.  The draw reads
+    xi_r = sqrt(2) D(h U_r), xi = sqrt(2) D(h), xi_bar = sqrt(2) Y(h).
+    Coordinates are independent; chain c takes its own block of normals.
     """
-    u = np.asarray(U, dtype=float)
-    if size is not None and u.ndim == 1:
-        u = np.broadcast_to(u, (int(size), R)).copy()
-    cov = kinetic_covariance(R, gamma, h, u, validate=False)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        jitter = _CHOLESKY_JITTER * np.eye(R + 2)
-        try:
-            chol = np.linalg.cholesky(cov + jitter)
-        except np.linalg.LinAlgError as exc:
-            raise InternalError(
-                f"kinetic covariance not factorizable after jitter: gamma={gamma}, h={h}, U={u!r}"
-            ) from exc
-    z = rng.standard_normal(u.shape[:-1] + (R + 2, p))
-    xi = chol @ z
-    return KineticNoiseDraw(
-        U=u,
-        xi_mid=xi[..., :R, :],
-        xi_full=xi[..., R, :],
-        xi_bar=xi[..., R + 1, :],
-    )
+    u, times = _time_grid(h, U, size)
+    x = gamma * _gaps(times)                                  # (..., R+1)
+    var_y = _em1(2.0 * x) / (2.0 * gamma)
+    cov = _g3(x) / gamma
+    # y first, then d given y; var_y is 0 on a gap of length 0 (tied times).
+    slope = np.divide(cov, var_y, out=np.zeros_like(cov), where=var_y > 0)
+    cond_sd = np.sqrt(np.maximum(_g2(x) / gamma - slope * cov, 0.0))
+    z = rng.standard_normal(times.shape + (2, p))             # (..., R+1, 2, p)
+    y = np.sqrt(var_y)[..., None] * z[..., 0, :]
+    steps = slope[..., None] * y + cond_sd[..., None] * z[..., 1, :]
+    gain, decay = _em1(x), np.exp(-x)
+    Y = np.zeros(times.shape[:-1] + (p,))
+    for k in range(R + 1):
+        steps[..., k, :] += gain[..., k, None] * Y
+        Y *= decay[..., k, None]
+        Y += y[..., k, :]
+    D = _SQRT2 * np.cumsum(steps, axis=-2)
+    return KineticNoiseDraw(U=u, xi_mid=D[..., :R, :], xi_full=D[..., R, :], xi_bar=_SQRT2 * Y)

@@ -106,7 +106,7 @@ def execute_round(plan: RoundPlan, potential) -> RoundResult:
             except Exception as exc:
                 raise RoundExecutionError(f"gradient failed at round slot {i}: {exc}", index=i) from exc
     wall = perf_counter() - start
-    potential.counter.add_rounds(rounds, wall_time=wall)
+    potential.counter.add_rounds(rounds)
     return RoundResult(gradients=gradients, wall_time=wall, rounds_consumed=rounds)
 
 

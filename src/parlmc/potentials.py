@@ -58,23 +58,19 @@ class EvalCounter:
         self._lock = threading.Lock()
         self.total_gradient_evals = 0
         self.sequential_rounds = 0
-        self.wall_clock_per_round: list[float] = []
 
     def add_evals(self, k: int = 1):
         with self._lock:
             self.total_gradient_evals += k
 
-    def add_rounds(self, k: int = 1, wall_time: float | None = None):
+    def add_rounds(self, k: int = 1):
         with self._lock:
             self.sequential_rounds += k
-            if wall_time is not None:
-                self.wall_clock_per_round.append(wall_time)
 
     def reset(self):
         with self._lock:
             self.total_gradient_evals = 0
             self.sequential_rounds = 0
-            self.wall_clock_per_round = []
 
     def snapshot(self) -> dict:
         with self._lock:

@@ -234,7 +234,39 @@ class TestKineticCovariance:
         assert np.linalg.eigvalsh(cov).min() > -1e-10
 
 
+class _IdentityBasis:
+    """Generator stand-in whose normals are an identity basis, one column per variate."""
+
+    def standard_normal(self, shape):
+        return np.eye(shape[-1]).reshape(shape)
+
+
+def _kinetic_linear_map(R, gamma, h, U):
+    """The (R+2, 2(R+1)) matrix L the kinetic draw applies to its standard normals."""
+    d = draw_kinetic_noise(R, gamma, h, 2 * (R + 1), np.asarray(U), _IdentityBasis())
+    return np.concatenate([d.xi_mid, d.xi_full[None], d.xi_bar[None]], axis=0)
+
+
 class TestKineticNoise:
+    @pytest.mark.parametrize("R", [1, 2, 24, 122, 274])
+    @pytest.mark.parametrize("gamma_h", [1e-4, 0.1, 1.0, 5.0])
+    def test_linear_map_reproduces_covariance(self, R, gamma_h):
+        gamma = 2.0
+        h = gamma_h / gamma
+        U = draw_midpoints(R, stream(15, R, ROLE_MIDPOINTS))
+        L = _kinetic_linear_map(R, gamma, h, U)
+        ana = kinetic_covariance(R, gamma, h, U)
+        sd = np.sqrt(np.diag(ana))
+        assert np.max(np.abs(L @ L.T - ana) / np.outer(sd, sd)) < 1e-10
+
+    def test_tied_times_stay_finite(self):
+        U = np.array([0.3, 0.3])
+        L = _kinetic_linear_map(2, 1.0, 0.1, U)
+        assert np.all(np.isfinite(L))
+        ana = kinetic_covariance(2, 1.0, 0.1, U)
+        sd = np.sqrt(np.diag(ana))
+        assert np.max(np.abs(L @ L.T - ana) / np.outer(sd, sd)) < 1e-10
+
     def test_monte_carlo_covariance(self):
         R, gamma, h = 2, 1.0, 0.1
         U = np.array([0.2, 0.8])
