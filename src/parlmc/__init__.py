@@ -34,7 +34,7 @@ from .noise import (
     psi,
     stream,
 )
-from .parallel import RoundPlan, RoundResult, execute_round, weighted_prefix_combine
+from .parallel import execute_round
 from .potentials import (
     EvalCounter,
     LogisticRidgePotential,
@@ -83,8 +83,6 @@ __all__ = [
     "PreconditionWarning",
     "QuadraticPotential",
     "RoundExecutionError",
-    "RoundPlan",
-    "RoundResult",
     "RunTrace",
     "SamplerConfig",
     "SyntheticDelayPotential",
@@ -112,5 +110,4 @@ __all__ = [
     "tune_kinetic",
     "tune_vanilla",
     "w2_gaussian",
-    "weighted_prefix_combine",
 ]

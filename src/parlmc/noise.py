@@ -249,7 +249,7 @@ def kinetic_covariance(R: int, gamma: float, h: float, U: np.ndarray) -> np.ndar
     lo = np.minimum(taus[..., :, None], taus[..., None, :])
     hi = np.maximum(taus[..., :, None], taus[..., None, :])
     q = np.exp(-gamma * (hi - lo))
-    block = ((1.0 - q) * _g1(gamma * lo) + q * _g2(gamma * lo)) / gamma  # (..., R+1, R+1)
+    block = (_em1(gamma * (hi - lo)) * _g1(gamma * lo) + q * _g2(gamma * lo)) / gamma  # (..., R+1, R+1)
 
     cross_bar = np.exp(-gamma * (h - taus)) * _g3(gamma * taus) / gamma  # (..., R+1)
     var_bar = _em1(2.0 * gamma * h) / (2.0 * gamma)

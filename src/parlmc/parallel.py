@@ -1,16 +1,16 @@
 """Round-based parallel gradient execution with deterministic reduction.
 
 One *round* evaluates R gradients that may run concurrently; rounds are the
-unit of time complexity.  A worker budget (``parallel_width``) below R splits
-the round into ceil(R / width) waves, which is exactly what the accounting
-records.  Results land in pre-assigned slots by index, never by completion
-order, so trajectories are bitwise independent of scheduling.
+unit of time complexity.  A round goes in as one chain-major (..., R, p)
+array and its gradients come back as one array of the same shape, slot r at
+[..., r, :].  A worker budget (``width``) below R splits the round into
+ceil(R / width) waves, which is exactly what the accounting records.  Each
+gradient is written to its slot by index, never by completion order, so
+trajectories are bitwise independent of scheduling.
 
 Rounds share one thread pool, grown only when a round needs more workers;
 the ``PARLMC_WORKERS`` environment variable caps its thread count without
-changing the accounting.  The prefix combine is one matmul per round, each
-chain's (R, R) @ (R, p) product computed on its own, so results do not depend
-on the ensemble size, the worker cap or the thread schedule.
+changing the accounting.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import math
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -45,8 +43,8 @@ def worker_limit() -> int | None:
     return value
 
 
-def _submit_wave(fn, points, workers: int, cap: int | None) -> list[Future]:
-    """Submit one wave to the shared pool, resized to `workers` threads first.
+def _submit_wave(fn, points, wave, workers: int, cap: int | None) -> list[Future]:
+    """Submit one wave's slots to the shared pool, resized to `workers` threads first.
 
     A pool with fewer threads, or more than the cap, is replaced and shut down
     (its queued work still runs); submitting under the lock closes the gap.
@@ -58,67 +56,35 @@ def _submit_wave(fn, points, workers: int, cap: int | None) -> list[Future]:
                 _pool.shutdown(wait=False)
             _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="parlmc-round")
             _pool_size = workers
-        return [_pool.submit(fn, point) for point in points]
+        return [_pool.submit(fn, points[..., i, :]) for i in wave]
 
 
-@dataclass
-class RoundPlan:
-    """R evaluation points for one round plus the worker budget."""
+def execute_round(points: np.ndarray, potential, width: int | None = None) -> np.ndarray:
+    """Gradients of a stacked (..., R, p) round, slot r at [..., r, :] as in `points`.
 
-    points: list[np.ndarray]
-    parallel_width: int | None = None  # None means unbounded (= R)
-
-
-@dataclass
-class RoundResult:
-    """Gradients in slot order plus round accounting."""
-
-    gradients: list[np.ndarray]
-    wall_time: float
-    rounds_consumed: int
-
-
-def execute_round(plan: RoundPlan, potential) -> RoundResult:
-    """Evaluate all points of a round; output order equals input order.
-
-    Updates the potential's counter: +R evaluations (one per point, via the
-    oracle itself) and +ceil(R / parallel_width) sequential rounds.
+    Each slot is one `potential.gradient` call on its view points[..., r, :];
+    a worker budget `width` below R (None means R) runs ceil(R / width) waves.
+    Updates the potential's counter: +R evaluations (via the oracle itself)
+    and +ceil(R / width) sequential rounds.
     """
-    R = len(plan.points)
-    if R == 0:
-        raise ConfigurationError("round plan has no points")
-    width = R if plan.parallel_width is None else int(plan.parallel_width)
+    points = np.asarray(points)
+    if points.ndim < 2 or points.shape[-2] == 0:
+        raise ConfigurationError(f"a round needs (..., R, p) points with R >= 1, got shape {points.shape}")
+    R = points.shape[-2]
+    width = R if width is None else int(width)
     if width < 1:
         raise ConfigurationError(f"parallel width must be >= 1, got {width}")
-    rounds = math.ceil(R / width)
 
-    start = perf_counter()
-    gradients: list[np.ndarray | None] = [None] * R
+    grads = np.empty(points.shape)
     cap = worker_limit()
     workers = min(width, cap or width, R)
     for wave_start in range(0, R, width):
         wave = range(wave_start, min(wave_start + width, R))
-        points = [plan.points[i] for i in wave]
-        futures = _submit_wave(potential.gradient, points, workers, cap) if workers > 1 else None
+        futures = _submit_wave(potential.gradient, points, wave, workers, cap) if workers > 1 else None
         for k, i in enumerate(wave):
             try:
-                gradients[i] = futures[k].result() if futures else potential.gradient(points[k])
+                grads[..., i, :] = futures[k].result() if futures else potential.gradient(points[..., i, :])
             except Exception as exc:
                 raise RoundExecutionError(f"gradient failed at round slot {i}: {exc}", index=i) from exc
-    wall = perf_counter() - start
-    potential.counter.add_rounds(rounds)
-    return RoundResult(gradients=gradients, wall_time=wall, rounds_consumed=rounds)
-
-
-def weighted_prefix_combine(gradients: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """output[..., r, :] = sum_{j<=r} weights[..., r, j] * gradients[..., j, :].
-
-    `gradients` is the stacked (..., R, p) round and `weights` the (..., R, R)
-    lower triangle, batches broadcasting; one matmul, each chain's on its own.
-    """
-    gradients, weights = np.asarray(gradients, dtype=float), np.asarray(weights, dtype=float)
-    if gradients.ndim < 2 or weights.shape[-2:] != gradients.shape[-2:-1] * 2:
-        raise ConfigurationError(
-            f"weights shape {weights.shape} does not fit stacked gradients of shape {gradients.shape}"
-        )
-    return np.matmul(weights, gradients)
+    potential.counter.add_rounds(math.ceil(R / width))
+    return grads

@@ -30,7 +30,8 @@ are computed once per refinement round and reused across the prefix sums
 final update evaluates the fresh round-(Q-1) states.
 
 A round is one chain-major (..., R, p) array, slot r at [..., r, :] as in ``xi_mid``;
-its gradients are stacked alike, so the prefix combine and slot sums are matmuls.
+``execute_round`` returns its gradients as one array of the same shape, so the
+prefix combine and the slot sums are plain matmuls on it.
 
 States are vectorized: theta has shape (p,) for one chain or (C, p) for an
 ensemble advancing in lockstep.  All randomness is keyed by (seed, iteration,
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from .errors import ConfigurationError, DivergenceError
-from .parallel import RoundPlan, execute_round, weighted_prefix_combine
+from .parallel import execute_round
 from .potentials import Potential
 from .tuning import check_preconditions
 
@@ -154,20 +155,16 @@ def _draw(kind, config, k, R, theta):
     return noise_mod.draw_vanilla_noise(R, config.h, theta.shape[-1], u, rng)
 
 
-def _round(points, config, potential):
-    """Gradients at a round's R points, (..., p) each, stacked as (..., R, p)."""
-    plan = RoundPlan(points, parallel_width=config.parallel_width)
-    return np.stack(execute_round(plan, potential).gradients, axis=-2)
-
-
 def _refine(kind, theta, v, R, Q, noise, config, potential):
     """Gradients of the last round's points, after Q - 1 refinement rounds.
 
-    The first round evaluates R copies of theta; each refinement round sets
-    the points to base - weights @ grads + xi_mid, with the regime's base and
-    weights, and evaluates their slot views points[..., r, :].
+    The first round evaluates R copies of theta, broadcast without a copy;
+    each refinement round sets the points to base - weights @ grads + xi_mid,
+    with the regime's base and weights.
     """
-    grads = _round([theta] * R, config, potential)
+    width = config.parallel_width
+    shape = theta.shape[:-1] + (R, theta.shape[-1])
+    grads = execute_round(np.broadcast_to(theta[..., None, :], shape), potential, width)
     if Q > 1:
         h, gamma = config.h, config.gamma
         if kind in KINETIC_KINDS:
@@ -178,10 +175,11 @@ def _refine(kind, theta, v, R, Q, noise, config, potential):
             weights = h * noise_mod.vanilla_coefficient_matrix(R, noise.U)
             base = theta[..., None, :]
     for _ in range(1, Q):
-        points = weighted_prefix_combine(grads, weights)
+        # Each chain's (R, R) @ (R, p) product on its own: bits do not depend on the ensemble size.
+        points = np.matmul(weights, grads)
         np.subtract(base, points, out=points)
         points += noise.xi_mid
-        grads = _round([points[..., r, :] for r in range(R)], config, potential)
+        grads = execute_round(points, potential, width)
     return grads
 
 

@@ -257,7 +257,7 @@ class TestKineticNoise:
         L = _kinetic_linear_map(R, gamma, h, U)
         ana = kinetic_covariance(R, gamma, h, U)
         sd = np.sqrt(np.diag(ana))
-        assert np.max(np.abs(L @ L.T - ana) / np.outer(sd, sd)) < 1e-10
+        assert np.max(np.abs(L @ L.T - ana) / np.outer(sd, sd)) < 1e-11
 
     def test_tied_times_stay_finite(self):
         U = np.array([0.3, 0.3])
@@ -265,7 +265,7 @@ class TestKineticNoise:
         assert np.all(np.isfinite(L))
         ana = kinetic_covariance(2, 1.0, 0.1, U)
         sd = np.sqrt(np.diag(ana))
-        assert np.max(np.abs(L @ L.T - ana) / np.outer(sd, sd)) < 1e-10
+        assert np.max(np.abs(L @ L.T - ana) / np.outer(sd, sd)) < 1e-11
 
     def test_monte_carlo_covariance(self):
         R, gamma, h = 2, 1.0, 0.1

@@ -9,7 +9,6 @@ from parlmc import (
     LogisticRidgePotential,
     QuadraticPotential,
     SyntheticDelayPotential,
-    RoundPlan,
     check_gradient_fd,
     execute_round,
 )
@@ -95,26 +94,26 @@ class TestBatchAndCounter:
     def test_batch_matches_elementwise(self, quad_2d):
         rng = np.random.default_rng(5)
         points = [rng.standard_normal(2) for _ in range(6)]
-        batched = execute_round(RoundPlan(points, parallel_width=3), quad_2d).gradients
+        batched = execute_round(np.stack(points), quad_2d, width=3)
         for point, g in zip(points, batched):
             assert np.array_equal(g, quad_2d.gradient(point))
 
     def test_round_accounting(self, quad_2d):
         quad_2d.counter.reset()
-        points = [np.zeros(2)] * 4
-        execute_round(RoundPlan(points, parallel_width=4), quad_2d)
+        points = np.zeros((4, 2))
+        execute_round(points, quad_2d, width=4)
         assert quad_2d.counter.sequential_rounds == 1
-        execute_round(RoundPlan(points, parallel_width=2), quad_2d)
+        execute_round(points, quad_2d, width=2)
         assert quad_2d.counter.sequential_rounds == 3  # += ceil(4/2)
         assert quad_2d.counter.total_gradient_evals == 8
 
     def test_gradient_vanishes_at_minimizer(self, quad_2d):
-        [g] = execute_round(RoundPlan([quad_2d.spec.minimizer], parallel_width=1), quad_2d).gradients
+        [g] = execute_round(np.stack([quad_2d.spec.minimizer]), quad_2d, width=1)
         assert np.allclose(g, 0.0, atol=1e-12)
 
     def test_concurrent_counting_exact(self, quad_2d):
         quad_2d.counter.reset()
-        execute_round(RoundPlan([np.zeros(2)] * 64, parallel_width=8), quad_2d)
+        execute_round(np.zeros((64, 2)), quad_2d, width=8)
         assert quad_2d.counter.total_gradient_evals == 64
         assert quad_2d.counter.sequential_rounds == 8
 

@@ -22,7 +22,7 @@ from parlmc import (
     w2_gaussian,
 )
 from parlmc import noise as noise_mod
-from parlmc.samplers import KINDS, KINETIC_KINDS, weighted_prefix_combine
+from parlmc.samplers import KINDS, KINETIC_KINDS
 
 
 def _quad(diag, mean=None):
@@ -327,11 +327,10 @@ class TestStackedEngine:
         rng = np.random.default_rng(62)
         grads = rng.standard_normal((C, R, p))
         weights = 0.01 * noise_mod.vanilla_coefficient_matrix(R, (np.arange(R) + rng.random((C, R))) / R)
-        batch = weighted_prefix_combine(grads, weights)
-        per_chain = np.stack([weighted_prefix_combine(grads[c], weights[c]) for c in range(C)])
+        batch = np.matmul(weights, grads)
+        per_chain = np.stack([np.matmul(weights[c], grads[c]) for c in range(C)])
         assert np.array_equal(batch, per_chain)
-        halves = np.concatenate([weighted_prefix_combine(grads[:4], weights[:4]),
-                                 weighted_prefix_combine(grads[4:], weights[4:])])
+        halves = np.concatenate([np.matmul(weights[:4], grads[:4]), np.matmul(weights[4:], grads[4:])])
         assert np.array_equal(batch, halves)
 
 
