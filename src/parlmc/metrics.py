@@ -98,7 +98,6 @@ class BoundEvaluation:
     initialization_term: float
     discretization_term: float
     total: float
-    measured_w2: float | None = None
     precondition_ok: bool = True
     terms: dict = field(default_factory=dict)
 
@@ -113,7 +112,6 @@ def theorem1_bound(
     p: int,
     w2_init: float,
     n: int,
-    measured_w2: float | None = None,
 ) -> BoundEvaluation:
     """Vanilla-sampler W2 bound after n outer steps (hbar = M h).
 
@@ -133,7 +131,6 @@ def theorem1_bound(
         initialization_term=init,
         discretization_term=disc,
         total=init + disc,
-        measured_w2=measured_w2,
         precondition_ok=vanilla_stability_lhs(hbar, Q, R, kappa) <= VANILLA_STABILITY_MAX,
         terms={"initialization": init, "discretization": disc},
     )
@@ -151,7 +148,6 @@ def theorem2_bound(
     w2_init: float,
     f_gap: float,
     n: int,
-    measured_w2: float | None = None,
 ) -> BoundEvaluation:
     """Kinetic-sampler W2 bound after n outer steps (hbar = gamma h).
 
@@ -175,7 +171,6 @@ def theorem2_bound(
         initialization_term=t1 + t2,
         discretization_term=t3 + t4,
         total=t1 + t2 + t3 + t4,
-        measured_w2=measured_w2,
         precondition_ok=ok,
         terms={
             "contraction": t1,

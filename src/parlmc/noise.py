@@ -19,6 +19,12 @@ walk carries ``D(t) = int_0^t (1 - e^{-gamma (t - s)}) dW`` and
 each gap are a 2x2 Gaussian.  :func:`kinetic_covariance` is the closed-form
 Ito-isometry covariance of the kinetic draw, kept as its reference.
 
+The refinement weights ``coeff_a_vanilla``/``coeff_b_kinetic`` are the scalar
+references.  The engine uses ``_drift_weights``: strictly lower (R, R) kernels
+over the full cells before each slot, the same for every chain, and a
+per-chain term for the slot's own partial cell.  The kinetic pair is the
+drift twin of the (D, Y) walk.
+
 Streams are counter-based (Philox) and keyed by ``(seed, iteration, role)``,
 so draws are bit-reproducible and independent of thread scheduling.  The
 iteration-k consumption contract used by the samplers is:
@@ -87,10 +93,10 @@ def _em1(x):
 
 
 def _g1(x):
-    """x - (1 - e^{-x});  ~ x^2/2 for small x."""
+    """x - (1 - e^{-x});  ~ x^2/2 for small x (Horner series: it runs per chain every step)."""
     x = np.asarray(x, dtype=float)
     direct = x - _em1(x)
-    series = x * x / 2 - x**3 / 6 + x**4 / 24 - x**5 / 120 + x**6 / 720 - x**7 / 5040
+    series = x * x * (1 / 2 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x * (1 / 720 - x / 5040)))))
     return np.where(x < 0.01, series, direct)
 
 
@@ -154,13 +160,6 @@ def coeff_a_vanilla(R: int, U, j: int, r: int) -> float:
     return float(min(1.0 / R, u[..., r - 1] - (j - 1) / R))
 
 
-def vanilla_coefficient_matrix(R: int, U: np.ndarray) -> np.ndarray:
-    """Lower-triangular (..., R, R) matrix of min{1/R, U_r - (j-1)/R} weights."""
-    u = np.asarray(U, dtype=float)
-    j = np.arange(R)  # j-1 for j = 1..R
-    return np.tril(np.minimum(1.0 / R, u[..., :, None] - j / R))
-
-
 def coeff_b_kinetic(R: int, gamma: float, h: float, U, j: int, r: int) -> float:
     """Kinetic inner-round weight: integral of 1 - e^{-gamma (U_r h - s)}.
 
@@ -179,19 +178,31 @@ def coeff_b_kinetic(R: int, gamma: float, h: float, U, j: int, r: int) -> float:
     return float(length - np.exp(-gamma * (u_r * h - u2)) * _em1(gamma * length) / gamma)
 
 
-def kinetic_coefficient_matrix(R: int, gamma: float, h: float, U: np.ndarray) -> np.ndarray:
-    """Lower-triangular (..., R, R) matrix of the kinetic b weights."""
-    u = np.asarray(U, dtype=float)
-    j = np.arange(1, R + 1)
-    u1 = (j - 1) * h / R
-    u2 = (h / R) * np.minimum(j, R * u[..., :, None])
-    length = u2 - u1
-    return np.tril(length - np.exp(-gamma * (u[..., :, None] * h - u2)) * _em1(gamma * length) / gamma)
+def _drift_weights(R: int, h: float, U, gamma: float | None = None):
+    """Refinement weights as shared (R, R) kernels plus per-chain own-cell terms.
 
+    Returns (k_d, k_y, gain, own): chain c's (R, R) weight matrix is
+    k_d + gain[c, :, None] k_y + diag(own[c]), with k_y and gain None for the
+    vanilla rule.  Every full cell j < r weighs the same for every chain, so
+    the strictly lower kernels are shared; a chain enters only through its
+    own partial cell of length L_r = h U_r - (r-1) h / R.
 
-def kinetic_velocity_weight(gamma: float, h: float, U) -> np.ndarray:
-    """Velocity coefficient (1 - e^{-gamma h U}) / gamma of the inner rounds."""
-    return _em1(gamma * h * np.asarray(U, dtype=float)) / gamma
+    Vanilla (h coeff_a_vanilla): k_d = h/R below the diagonal, own = L_r.
+    Kinetic (coeff_b_kinetic): with x = gamma h / R and lag m = r - j >= 1,
+    k_d(m) = (g1(x) + em1(x) em1((m-1) x)) / gamma,
+    k_y(m) = e^{-(m-1) x} em1(x) / gamma, gain = em1(gamma L_r) and
+    own = g1(gamma L_r) / gamma, where em1(x) = 1 - e^{-x}.
+    """
+    cell = h * (np.asarray(U, dtype=float) - np.arange(R) / R)
+    if gamma is None:
+        return (h / R) * np.tri(R, k=-1), None, None, cell
+    x = gamma * h / R
+    m = np.arange(R)[:, None] - np.arange(R)                  # r - j
+    full = x * np.maximum(m - 1, 0)                           # (m - 1) x
+    below = m > 0
+    k_d = below * ((_g1(x) + _em1(x) * _em1(full)) / gamma)
+    k_y = below * (np.exp(-full) * _em1(x) / gamma)
+    return k_d, k_y, _em1(gamma * cell), _g1(gamma * cell) / gamma
 
 
 def _time_grid(h: float, U, size: int | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -30,8 +30,10 @@ are computed once per refinement round and reused across the prefix sums
 final update evaluates the fresh round-(Q-1) states.
 
 A round is one chain-major (..., R, p) array, slot r at [..., r, :] as in ``xi_mid``;
-``execute_round`` returns its gradients as one array of the same shape, so the
-prefix combine and the slot sums are plain matmuls on it.
+``execute_round`` returns its gradients as one array of the same shape.  The
+prefix combine applies strictly lower (R, R) kernels shared by every chain (the
+full cells before slot r) as matmuls broadcast over chains, plus a per-chain
+own-cell term (``noise._drift_weights``); no per-chain (R, R) array is built.
 
 States are vectorized: theta has shape (p,) for one chain or (C, p) for an
 ensemble advancing in lockstep.  All randomness is keyed by (seed, iteration,
@@ -101,15 +103,6 @@ class SamplerConfig:
         self.Q = int(self.Q)
         self.n = int(self.n)
 
-    @property
-    def eta(self) -> float | None:
-        """Normalized kinetic step gamma * h (None without friction)."""
-        return None if self.gamma is None else self.gamma * self.h
-
-    def hbar(self, smoothness: float) -> float:
-        """Normalized vanilla step M * h for a potential with smoothness M."""
-        return smoothness * self.h
-
     def to_dict(self) -> dict:
         return {
             "h": self.h,
@@ -159,24 +152,31 @@ def _refine(kind, theta, v, R, Q, noise, config, potential):
     """Gradients of the last round's points, after Q - 1 refinement rounds.
 
     The first round evaluates R copies of theta, broadcast without a copy;
-    each refinement round sets the points to base - weights @ grads + xi_mid,
-    with the regime's base and weights.
+    each refinement round sets the points to base - W grads + xi_mid, with the
+    regime's base and its weights W split as in `noise._drift_weights`.
     """
     width = config.parallel_width
     shape = theta.shape[:-1] + (R, theta.shape[-1])
     grads = execute_round(np.broadcast_to(theta[..., None, :], shape), potential, width)
     if Q > 1:
         h, gamma = config.h, config.gamma
-        if kind in KINETIC_KINDS:
-            a = noise_mod.kinetic_velocity_weight(gamma, h, noise.U)      # (..., R)
-            weights = noise_mod.kinetic_coefficient_matrix(R, gamma, h, noise.U)
-            base = theta[..., None, :] + a[..., None] * v[..., None, :]
-        else:
-            weights = h * noise_mod.vanilla_coefficient_matrix(R, noise.U)
-            base = theta[..., None, :]
+        kinetic = kind in KINETIC_KINDS
+        k_d, k_y, gain, own = noise_mod._drift_weights(R, h, noise.U, gamma if kinetic else None)
+        base = theta[..., None, :]
+        if kinetic:
+            a = noise_mod._em1(gamma * h * noise.U) / gamma              # (..., R) velocity weight
+            base = a[..., None] * v[..., None, :]
+            base += theta[..., None, :]  # in place: a fresh broadcast sum is several times slower
+        points, scratch = np.empty(shape), np.empty(shape)
     for _ in range(1, Q):
-        # Each chain's (R, R) @ (R, p) product on its own: bits do not depend on the ensemble size.
-        points = np.matmul(weights, grads)
+        # The shared kernels broadcast over chains, one (R, R) @ (R, p) product
+        # per chain: bits do not depend on the ensemble size.
+        np.matmul(k_d, grads, out=points)
+        if k_y is not None:
+            np.matmul(k_y, grads, out=scratch)
+            scratch *= gain[..., None]
+            points += scratch
+        points += np.multiply(own[..., None], grads, out=scratch)
         np.subtract(base, points, out=points)
         points += noise.xi_mid
         grads = execute_round(points, potential, width)
@@ -364,31 +364,24 @@ def run(
         trace.rows.append(row)
 
     record(state)
-    for k in range(config.n):
-        try:
+    try:
+        for _ in range(config.n):
             state = step(kind, state, config, potential)
-        except DivergenceError as exc:
-            trace.counters = potential.counter.snapshot()
-            trace.elapsed_seconds = perf_counter() - start
-            trace.final_state = state
-            exc.trace = trace
-            raise
-        norm = float(np.sqrt(np.sum(state.theta**2, axis=-1)).max())
-        if norm > threshold:
-            trace.counters = potential.counter.snapshot()
-            trace.elapsed_seconds = perf_counter() - start
-            trace.final_state = state
-            raise DivergenceError(
-                f"iterate norm {norm:.3e} exceeded {threshold:.3e} at iteration {state.iteration}",
-                iteration=state.iteration,
-                norm=norm,
-                trace=trace,
-            )
-        if state.iteration % record_every == 0 or state.iteration == config.n:
-            record(state)
-
-    trace.counters = potential.counter.snapshot()
-    trace.elapsed_seconds = perf_counter() - start
-    trace.final_state = state
+            norm = float(np.sqrt(np.sum(state.theta**2, axis=-1)).max())
+            if norm > threshold:
+                raise DivergenceError(
+                    f"iterate norm {norm:.3e} exceeded {threshold:.3e} at iteration {state.iteration}",
+                    iteration=state.iteration,
+                    norm=norm,
+                )
+            if state.iteration % record_every == 0 or state.iteration == config.n:
+                record(state)
+    except DivergenceError as exc:
+        exc.trace = trace
+        raise
+    finally:
+        trace.counters = potential.counter.snapshot()
+        trace.elapsed_seconds = perf_counter() - start
+        trace.final_state = state
     return trace
 

@@ -1,6 +1,8 @@
 """Sampler engine: reduction equivalences, scalar oracles, accounting, stability."""
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -251,9 +253,20 @@ def _slot_prefix_combine(grads, weights):
     return combined
 
 
+def _scalar_weights(coeff, U):
+    """(..., R, R) lower-triangular weights, entry by entry from a scalar coeff(U_c, j, r)."""
+    R = U.shape[-1]
+    weights = np.zeros(U.shape + (R,))
+    for c in np.ndindex(U.shape[:-1]):
+        for r in range(1, R + 1):
+            for j in range(1, r + 1):
+                weights[c + (r - 1, j - 1)] = coeff(U[c], j, r)
+    return weights
+
+
 def slot_vanilla_iteration(theta, h, R, Q, noise, grad):
     """The vanilla engine written slot by slot, as lists of (..., p) arrays."""
-    weights = h * noise_mod.vanilla_coefficient_matrix(R, noise.U)
+    weights = h * _scalar_weights(lambda u, j, r: noise_mod.coeff_a_vanilla(R, u, j, r), noise.U)
     points = [theta] * R
     for _ in range(1, Q):
         combined = _slot_prefix_combine([grad(x) for x in points], weights)
@@ -267,8 +280,8 @@ def slot_vanilla_iteration(theta, h, R, Q, noise, grad):
 
 def slot_kinetic_iteration(theta, v, h, R, Q, gamma, noise, grad):
     """The kinetic engine written slot by slot, as lists of (..., p) arrays."""
-    a = noise_mod.kinetic_velocity_weight(gamma, h, noise.U)
-    weights = noise_mod.kinetic_coefficient_matrix(R, gamma, h, noise.U)
+    a = -np.expm1(-gamma * h * noise.U) / gamma
+    weights = _scalar_weights(lambda u, j, r: noise_mod.coeff_b_kinetic(R, gamma, h, u, j, r), noise.U)
     base = [theta + a[..., r, None] * v for r in range(R)]
     points = [theta] * R
     for _ in range(1, Q):
@@ -322,16 +335,47 @@ class TestStackedEngine:
         assert np.allclose(got_v, want_v, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("R", [4, 37])
-    def test_combine_batch_equals_per_chain_calls(self, R):
-        C, p = 9, 10
+    def test_step_batch_equals_chain_blocks(self, quad_10d, R):
+        # The shared kernels broadcast over chains: 9 chains in one step give
+        # the bits of the blocks [:4] and [4:] stepped on their own.
         rng = np.random.default_rng(62)
-        grads = rng.standard_normal((C, R, p))
-        weights = 0.01 * noise_mod.vanilla_coefficient_matrix(R, (np.arange(R) + rng.random((C, R))) / R)
-        batch = np.matmul(weights, grads)
-        per_chain = np.stack([np.matmul(weights[c], grads[c]) for c in range(C)])
-        assert np.array_equal(batch, per_chain)
-        halves = np.concatenate([np.matmul(weights[:4], grads[:4]), np.matmul(weights[4:], grads[4:])])
-        assert np.array_equal(batch, halves)
+        theta, v = rng.standard_normal((9, 10)), rng.standard_normal((9, 10))
+        u = noise_mod.draw_midpoints(R, noise_mod.stream(62, 0, noise_mod.ROLE_MIDPOINTS), size=9)
+        path = noise_mod.stream(62, 0, noise_mod.ROLE_PATH)
+        cases = [
+            ("prlmc", SamplerConfig(h=0.01, n=1, R=R, Q=3), noise_mod.draw_vanilla_noise(R, 0.01, 10, u, path)),
+            ("prklmc", SamplerConfig(h=0.002, n=1, R=R, Q=3, gamma=50.0),
+             noise_mod.draw_kinetic_noise(R, 50.0, 0.002, 10, u, path)),
+        ]
+        for kind, cfg, noise in cases:
+            kinetic = kind in KINETIC_KINDS
+
+            def block(rows):
+                sub = type(noise)(**{f.name: getattr(noise, f.name)[rows] for f in dataclasses.fields(noise)})
+                state = ChainState(theta=theta[rows], v=v[rows] if kinetic else None)
+                return step(kind, state, cfg, quad_10d, noise=sub)
+
+            whole, head, tail = block(slice(None)), block(slice(None, 4)), block(slice(4, None))
+            assert np.array_equal(whole.theta, np.concatenate([head.theta, tail.theta]))
+            if kinetic:
+                assert np.array_equal(whole.v, np.concatenate([head.v, tail.v]))
+
+    @pytest.mark.parametrize("kind", ["prlmc", "prklmc"])
+    def test_step_peak_memory_is_linear(self, quad_10d, kind):
+        # No (C, R, R) array: one step's traced peak stays a few (C, R, p) arrays.
+        C, R, p = 50, 122, 10
+        kinetic = kind in KINETIC_KINDS
+        cfg = SamplerConfig(h=0.001, n=1, R=R, Q=3, gamma=50.0 if kinetic else None, seed=63,
+                            parallel_width=1)
+        rng = np.random.default_rng(63)
+        state = ChainState(theta=rng.standard_normal((C, p)), v=rng.standard_normal((C, p)) if kinetic else None)
+        tracemalloc.start()
+        try:
+            step(kind, state, cfg, quad_10d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * C * R * p * 8
 
 
 class TestStepEntryPoint:
