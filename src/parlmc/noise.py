@@ -301,20 +301,20 @@ def draw_kinetic_noise(
     Coordinates are independent; chain c takes its own block of normals.
     """
     u, times = _time_grid(h, U, size)
-    x = gamma * _gaps(times)                                  # (..., R+1)
-    var_y = _em1(2.0 * x) / (2.0 * gamma)
-    cov = _g3(x) / gamma
+    # Slot-major (R+1, p, ...) walk: each broadcast is one pass over the chains, not C passes of p.
+    x = np.moveaxis(gamma * _gaps(times), -1, 0)[:, None]     # (R+1, 1, ...)
+    var_y, cov = _em1(2.0 * x) / (2.0 * gamma), _g3(x) / gamma
     # y first, then d given y; var_y is 0 on a gap of length 0 (tied times).
     slope = np.divide(cov, var_y, out=np.zeros_like(cov), where=var_y > 0)
     cond_sd = np.sqrt(np.maximum(_g2(x) / gamma - slope * cov, 0.0))
-    z = rng.standard_normal(times.shape + (2, p))             # (..., R+1, 2, p)
-    y = np.sqrt(var_y)[..., None] * z[..., 0, :]
-    steps = slope[..., None] * y + cond_sd[..., None] * z[..., 1, :]
-    gain, decay = _em1(x), np.exp(-x)
-    Y = np.zeros(times.shape[:-1] + (p,))
+    z = np.moveaxis(rng.standard_normal(times.shape + (2, p)), (-3, -2, -1), (0, 1, 2))  # drawn chain-major
+    y = np.multiply(np.sqrt(var_y), z[:, 0], order="C")
+    D = np.multiply(cond_sd, z[:, 1], order="C") + slope * y  # each gap's d, then D in place
+    gain, decay, Y = _em1(x), np.exp(-x), np.zeros(y.shape[1:])
     for k in range(R + 1):
-        steps[..., k, :] += gain[..., k, None] * Y
-        Y *= decay[..., k, None]
-        Y += y[..., k, :]
-    D = _SQRT2 * np.cumsum(steps, axis=-2)
-    return KineticNoiseDraw(U=u, xi_mid=D[..., :R, :], xi_full=D[..., R, :], xi_bar=_SQRT2 * Y)
+        D[k] += gain[k] * Y
+        D[k] += D[k - 1] if k else 0.0
+        Y = decay[k] * Y + y[k]
+    D = np.multiply(np.moveaxis(D, (0, 1), (-2, -1)), _SQRT2, order="C")
+    xi_bar = np.multiply(np.moveaxis(Y, 0, -1), _SQRT2, order="C")
+    return KineticNoiseDraw(U=u, xi_mid=D[..., :R, :], xi_full=D[..., R, :], xi_bar=xi_bar)

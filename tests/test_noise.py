@@ -41,6 +41,16 @@ def _kinetic_integrands(R, gamma, h, U):
     return g, taus
 
 
+def _full_weights(R, h, U, gamma=None):
+    """The engine's shared kernels plus own-cell terms as one lower-triangular matrix."""
+    k_d, k_y, gain, own = _drift_weights(R, h, U, gamma)
+    weights = k_d + own[..., :, None] * np.eye(R)
+    if k_y is not None:
+        weights = weights + gain[..., :, None] * k_y
+    assert not np.triu(weights, 1).any()
+    return weights
+
+
 class TestPsi:
     def test_limit_at_zero(self):
         assert psi(0.0) == 1.0
@@ -109,6 +119,16 @@ class TestVanillaCoefficients:
         with pytest.raises(IndexError):
             coeff_a_vanilla(4, np.array([0.1, 0.3, 0.6, 0.9]), 3, 2)
 
+    def test_matrix_matches_scalar(self):
+        rng = stream(6, 0, ROLE_MIDPOINTS)
+        for R in (1, 4, 24, 122):
+            U = draw_midpoints(R, rng, size=3)
+            want = np.array([[[coeff_a_vanilla(R, u, j, r) if j <= r else 0.0 for j in range(1, R + 1)]
+                              for r in range(1, R + 1)] for u in U])
+            got = _full_weights(R, 0.1, U) / 0.1
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.all(got >= 0.0) and np.all(got <= 1 / R + 1e-15)
+
 
 class TestKineticCoefficients:
     def test_quadrature_oracle(self):
@@ -131,6 +151,27 @@ class TestKineticCoefficients:
                     u1 = (j - 1) * 0.05 / R
                     assert 0.0 <= b <= u2 - u1 + 1e-15
 
+    def test_matrix_matches_scalar(self):
+        rng = stream(6, 0, ROLE_MIDPOINTS)
+        for R in (1, 4, 24, 122):
+            U = draw_midpoints(R, rng, size=3)
+            for gamma_h in (0.05, 0.1, 1.0, 5.0):
+                gamma, h = 2.0, gamma_h / 2.0
+                want = np.array([[[coeff_b_kinetic(R, gamma, h, u, j, r) if j <= r else 0.0
+                                   for j in range(1, R + 1)] for r in range(1, R + 1)] for u in U])
+                got = _full_weights(R, h, U, gamma)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (R, gamma_h)
+            # At gamma h = 1e-4 the scalar form L - em1(gamma L) / gamma cancels; integrate instead.
+            gamma, h, u = 2.0, 5e-5, U[0]
+            got = _full_weights(R, h, u, gamma)
+            want = np.zeros((R, R))
+            for r in range(1, R + 1):
+                for j in range(1, r + 1):
+                    hi = (h / R) * min(j, R * u[r - 1])
+                    want[r - 1, j - 1] = quad(lambda s: -np.expm1(-gamma * (h * u[r - 1] - s)),
+                                              (j - 1) * h / R, hi, epsabs=0.0, epsrel=1e-13)[0]
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), R
+
     def test_prefix_sum_telescopes(self):
         # sum_{j<=r} b_j equals the integral over [0, U_r h]: h U_r - (1 - e^{-gamma h U_r}) / gamma
         gamma, h, R = 1.3, 0.7, 4
@@ -141,44 +182,6 @@ class TestKineticCoefficients:
             oracle = quad(lambda s: 1 - np.exp(-gamma * (U[r - 1] * h - s)), 0, U[r - 1] * h)[0]
             assert total == pytest.approx(closed, rel=1e-12)
             assert total == pytest.approx(oracle, rel=1e-10)
-
-
-class TestDriftWeights:
-    """The engine's shared kernels plus own-cell terms against the scalar weights."""
-
-    @staticmethod
-    def _full(R, h, U, gamma=None):
-        k_d, k_y, gain, own = _drift_weights(R, h, U, gamma)
-        weights = k_d + own[..., :, None] * np.eye(R)
-        if k_y is not None:
-            weights = weights + gain[..., :, None] * k_y
-        assert not np.triu(weights, 1).any()
-        return weights
-
-    def test_weights_match_scalar_references(self):
-        rng = stream(6, 0, ROLE_MIDPOINTS)
-        for R in (1, 4, 24, 122):
-            U = draw_midpoints(R, rng, size=3)
-            want = np.array([[[coeff_a_vanilla(R, u, j, r) if j <= r else 0.0 for j in range(1, R + 1)]
-                              for r in range(1, R + 1)] for u in U])
-            got = self._full(R, 0.1, U) / 0.1
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-            for gamma_h in (0.05, 0.1, 1.0, 5.0):
-                gamma, h = 2.0, gamma_h / 2.0
-                want = np.array([[[coeff_b_kinetic(R, gamma, h, u, j, r) if j <= r else 0.0
-                                   for j in range(1, R + 1)] for r in range(1, R + 1)] for u in U])
-                got = self._full(R, h, U, gamma)
-                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (R, gamma_h)
-            # At gamma h = 1e-4 the scalar form L - em1(gamma L) / gamma cancels; integrate instead.
-            gamma, h, u = 2.0, 5e-5, U[0]
-            got = self._full(R, h, u, gamma)
-            want = np.zeros((R, R))
-            for r in range(1, R + 1):
-                for j in range(1, r + 1):
-                    hi = (h / R) * min(j, R * u[r - 1])
-                    want[r - 1, j - 1] = quad(lambda s: -np.expm1(-gamma * (h * u[r - 1] - s)),
-                                              (j - 1) * h / R, hi, epsabs=0.0, epsrel=1e-13)[0]
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), R
 
 
 class TestVanillaNoise:
