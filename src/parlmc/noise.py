@@ -19,11 +19,16 @@ walk carries ``D(t) = int_0^t (1 - e^{-gamma (t - s)}) dW`` and
 each gap are a 2x2 Gaussian.  :func:`kinetic_covariance` is the closed-form
 Ito-isometry covariance of the kinetic draw, kept as its reference.
 
+Both draws store their midpoint integrals slot-major, (R, ..., p) behind the
+public (..., R, p) shape of ``xi_mid``, so slot r is one contiguous (..., p)
+block like the engine's rounds.
+
 The refinement weights ``coeff_a_vanilla``/``coeff_b_kinetic`` are the scalar
-references.  The engine uses ``_drift_weights``: strictly lower (R, R) kernels
-over the full cells before each slot, the same for every chain, and a
-per-chain term for the slot's own partial cell.  The kinetic pair is the
-drift twin of the (D, Y) walk.
+references.  The engine applies them through ``_drift_walk``, an O(R) walk
+over the slot-major gradients that carries prefix sums of the earlier slots:
+every full cell j < r weighs the same for every chain, and a chain enters only
+through its own partial cell.  The kinetic walk is the drift twin of the
+(D, Y) noise walk.
 
 Streams are counter-based (Philox) and keyed by ``(seed, iteration, role)``,
 so draws are bit-reproducible and independent of thread scheduling.  The
@@ -41,6 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, InternalError
+from .parallel import round_view, slot_major
 
 ROLE_MIDPOINTS = 0
 ROLE_PATH = 1
@@ -178,31 +184,47 @@ def coeff_b_kinetic(R: int, gamma: float, h: float, U, j: int, r: int) -> float:
     return float(length - np.exp(-gamma * (u_r * h - u2)) * _em1(gamma * length) / gamma)
 
 
-def _drift_weights(R: int, h: float, U, gamma: float | None = None):
-    """Refinement weights as shared (R, R) kernels plus per-chain own-cell terms.
+def _drift_walk(grads, h: float, U, gamma: float | None = None, out=None) -> np.ndarray:
+    """Refinement drift of every slot from slot-major (R, ..., p) gradients, in O(R) slot passes.
 
-    Returns (k_d, k_y, gain, own): chain c's (R, R) weight matrix is
-    k_d + gain[c, :, None] k_y + diag(own[c]), with k_y and gain None for the
-    vanilla rule.  Every full cell j < r weighs the same for every chain, so
-    the strictly lower kernels are shared; a chain enters only through its
-    own partial cell of length L_r = h U_r - (r-1) h / R.
+    Slot r's state is theta_r = base_r - drift_r + xi_r with drift_r the
+    weighted sum of g_1..g_r, each weight a function of U (..., R) alone.  The
+    walk carries A_r = sum_{j<r} g_j; a chain enters only through its own
+    partial cell of length L_r = h U_r - (r-1) h / R.
 
-    Vanilla (h coeff_a_vanilla): k_d = h/R below the diagonal, own = L_r.
-    Kinetic (coeff_b_kinetic): with x = gamma h / R and lag m = r - j >= 1,
-    k_d(m) = (g1(x) + em1(x) em1((m-1) x)) / gamma,
-    k_y(m) = e^{-(m-1) x} em1(x) / gamma, gain = em1(gamma L_r) and
-    own = g1(gamma L_r) / gamma, where em1(x) = 1 - e^{-x}.
+    Vanilla (h coeff_a_vanilla): drift_r = (h/R) A_r + L_r g_r.
+    Kinetic (coeff_b_kinetic): with x = gamma h / R and em1(x) = 1 - e^{-x},
+    the walk also carries B_r = e^{-x} B_{r-1} + g_{r-1} and
+    E_r = E_{r-1} + em1(x) B_{r-1}, and
+    drift_r = (g1(x) A_r + em1(x) E_r) / gamma
+              + em1(gamma L_r) em1(x) / gamma B_r + g1(gamma L_r) / gamma g_r.
+    No term is a cancelling difference.  Every operation is elementwise over
+    chains, so the bits do not depend on how an ensemble is split.
     """
-    cell = h * (np.asarray(U, dtype=float) - np.arange(R) / R)
+    R = grads.shape[0]
+    out = np.empty(grads.shape) if out is None else out
+    cell = h * slot_major((np.asarray(U, dtype=float) - np.arange(R) / R)[..., None])  # (R, ..., 1)
+    out[0] = 0.0
+    for r in range(1, R):
+        np.add(out[r - 1], grads[r - 1], out=out[r])                    # A_r
     if gamma is None:
-        return (h / R) * np.tri(R, k=-1), None, None, cell
-    x = gamma * h / R
-    m = np.arange(R)[:, None] - np.arange(R)                  # r - j
-    full = x * np.maximum(m - 1, 0)                           # (m - 1) x
-    below = m > 0
-    k_d = below * ((_g1(x) + _em1(x) * _em1(full)) / gamma)
-    k_y = below * (np.exp(-full) * _em1(x) / gamma)
-    return k_d, k_y, _em1(gamma * cell), _g1(gamma * cell) / gamma
+        out *= h / R
+        own = cell
+    else:
+        x = gamma * h / R
+        em1x, decay = _em1(x), np.exp(-x)
+        out *= _g1(x) / gamma
+        gain = _em1(gamma * cell) * (em1x / gamma)
+        own = _g1(gamma * cell) / gamma
+        B, E, scratch = (np.zeros(grads.shape[1:]) for _ in range(3))
+        for r in range(1, R):
+            E += np.multiply(em1x, B, out=scratch)                      # E_r, from B_{r-1}
+            B *= decay
+            B += grads[r - 1]                                            # B_r
+            out[r] += np.multiply(em1x / gamma, E, out=scratch)
+            out[r] += np.multiply(gain[r], B, out=scratch)
+    out += own * grads
+    return out
 
 
 def _time_grid(h: float, U, size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -237,9 +259,13 @@ def draw_vanilla_noise(
     """
     u, times = _time_grid(h, U, size)
     dt = _gaps(times)
-    z = rng.standard_normal(times.shape + (p,))
-    path = np.cumsum(np.sqrt(dt)[..., None] * z, axis=-2)
-    return VanillaNoiseDraw(U=u, xi_mid=_SQRT2 * path[..., :R, :], xi_full=_SQRT2 * path[..., R, :])
+    z = rng.standard_normal(times.shape + (p,))  # drawn chain-major
+    # Slot-major (R+1, ..., p) path: one in-place slice add per slot (np.cumsum along axis 0 is slower).
+    path = np.multiply(slot_major(np.sqrt(dt)[..., None]), slot_major(z), order="C")
+    for k in range(1, R + 1):
+        path[k] += path[k - 1]
+    path *= _SQRT2
+    return VanillaNoiseDraw(U=u, xi_mid=round_view(path[:R]), xi_full=path[R])
 
 
 def kinetic_covariance(R: int, gamma: float, h: float, U: np.ndarray) -> np.ndarray:
@@ -315,6 +341,6 @@ def draw_kinetic_noise(
         D[k] += gain[k] * Y
         D[k] += D[k - 1] if k else 0.0
         Y = decay[k] * Y + y[k]
-    D = np.multiply(np.moveaxis(D, (0, 1), (-2, -1)), _SQRT2, order="C")
+    D = np.multiply(np.moveaxis(D, 1, -1), _SQRT2, order="C")  # slot-major (R+1, ..., p)
     xi_bar = np.multiply(np.moveaxis(Y, 0, -1), _SQRT2, order="C")
-    return KineticNoiseDraw(U=u, xi_mid=D[..., :R, :], xi_full=D[..., R, :], xi_bar=xi_bar)
+    return KineticNoiseDraw(U=u, xi_mid=round_view(D[:R]), xi_full=D[R], xi_bar=xi_bar)

@@ -29,11 +29,14 @@ are computed once per refinement round and reused across the prefix sums
 (without this caching the refinement would cost O(R^2) evaluations), and the
 final update evaluates the fresh round-(Q-1) states.
 
-A round is one chain-major (..., R, p) array, slot r at [..., r, :] as in ``xi_mid``;
-``execute_round`` returns its gradients as one array of the same shape.  The
-prefix combine applies strictly lower (R, R) kernels shared by every chain (the
-full cells before slot r) as matmuls broadcast over chains, plus a per-chain
-own-cell term (``noise._drift_weights``); no per-chain (R, R) array is built.
+A round has the public (..., R, p) shape of ``xi_mid``, slot r at [..., r, :],
+and is stored slot-major, (R, ..., p) behind that shape, so slot r is one
+contiguous (..., p) block like theta; ``execute_round`` returns its gradients
+the same way.  The prefix combine is ``noise._drift_walk``, an O(R) walk over
+the slots that carries prefix sums of the earlier slots' gradients, plus a
+per-chain own-cell term; no (R, R) weight array is built.  The final slot
+sums add one slot at a time.  Every step of both is elementwise over chains,
+so the bits do not depend on the chain count.
 
 States are vectorized: theta has shape (p,) for one chain or (C, p) for an
 ensemble advancing in lockstep.  All randomness is keyed by (seed, iteration,
@@ -56,7 +59,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from .errors import ConfigurationError, DivergenceError
-from .parallel import execute_round
+from .parallel import execute_round, round_view, slot_major
 from .potentials import Potential
 from .tuning import check_preconditions
 
@@ -149,38 +152,42 @@ def _draw(kind, config, k, R, theta):
 
 
 def _refine(kind, theta, v, R, Q, noise, config, potential):
-    """Gradients of the last round's points, after Q - 1 refinement rounds.
+    """Slot-major (R, ..., p) gradients of the last round's points, after Q - 1 refinement rounds.
 
     The first round evaluates R copies of theta, broadcast without a copy;
-    each refinement round sets the points to base - W grads + xi_mid, with the
-    regime's base and its weights W split as in `noise._drift_weights`.
+    each refinement round sets the points to base - drift + xi_mid, with the
+    regime's base and the drift of `noise._drift_walk`.
     """
     width = config.parallel_width
-    shape = theta.shape[:-1] + (R, theta.shape[-1])
-    grads = execute_round(np.broadcast_to(theta[..., None, :], shape), potential, width)
+    shape = (R,) + theta.shape
+    grads = slot_major(execute_round(round_view(np.broadcast_to(theta, shape)), potential, width))
     if Q > 1:
-        h, gamma = config.h, config.gamma
-        kinetic = kind in KINETIC_KINDS
-        k_d, k_y, gain, own = noise_mod._drift_weights(R, h, noise.U, gamma if kinetic else None)
-        base = theta[..., None, :]
-        if kinetic:
+        h = config.h
+        gamma = config.gamma if kind in KINETIC_KINDS else None
+        base = theta
+        if gamma is not None:
             a = noise_mod._em1(gamma * h * noise.U) / gamma              # (..., R) velocity weight
-            base = a[..., None] * v[..., None, :]
-            base += theta[..., None, :]  # in place: a fresh broadcast sum is several times slower
-        points, scratch = np.empty(shape), np.empty(shape)
+            base = slot_major(a[..., None]) * v
+            base += theta  # in place: a fresh broadcast sum is several times slower
+        xi_mid = slot_major(noise.xi_mid)
+        points = np.empty(shape)
     for _ in range(1, Q):
-        # The shared kernels broadcast over chains, one (R, R) @ (R, p) product
-        # per chain: bits do not depend on the ensemble size.
-        np.matmul(k_d, grads, out=points)
-        if k_y is not None:
-            np.matmul(k_y, grads, out=scratch)
-            scratch *= gain[..., None]
-            points += scratch
-        points += np.multiply(own[..., None], grads, out=scratch)
+        noise_mod._drift_walk(grads, h, noise.U, gamma, out=points)
         np.subtract(base, points, out=points)
-        points += noise.xi_mid
-        grads = execute_round(points, potential, width)
+        points += xi_mid
+        grads = slot_major(execute_round(round_view(points), potential, width))
     return grads
+
+
+def _slot_sum(grads, weights=None):
+    """Sum over the slots of (R, ..., p) gradients, optionally weighted by (R, ..., 1).
+
+    One slot add at a time, so the bits do not depend on the chain count.
+    """
+    total = grads[0].copy() if weights is None else weights[0] * grads[0]
+    for r in range(1, len(grads)):
+        total += grads[r] if weights is None else weights[r] * grads[r]
+    return total
 
 
 def step(kind: str, state: ChainState, config: SamplerConfig, potential: Potential, noise=None) -> ChainState:
@@ -197,14 +204,13 @@ def step(kind: str, state: ChainState, config: SamplerConfig, potential: Potenti
     xi = np.asarray(noise) if bare else noise.xi_full
     grads = _refine(kind, theta, v, R, Q, noise, config, potential)
     if kind in KINETIC_KINDS:
-        tail = gamma * h * (1.0 - noise.U)                              # (..., R)
-        sum_theta = (((h / R) * noise_mod._em1(tail))[..., None, :] @ grads)[..., 0, :]
-        sum_v = (((h / R) * np.exp(-tail))[..., None, :] @ grads)[..., 0, :]
+        tail = slot_major((gamma * h * (1.0 - noise.U))[..., None])     # (R, ..., 1)
+        sum_theta = _slot_sum(grads, (h / R) * noise_mod._em1(tail))
+        sum_v = _slot_sum(grads, (h / R) * np.exp(-tail))
         new_theta = theta + (noise_mod._em1(gamma * h) / gamma) * v - sum_theta + xi
         v = np.exp(-gamma * h) * v - gamma * sum_v + gamma * noise.xi_bar
     else:
-        # Slot sums as matmuls: numpy's sum over the middle axis is several times slower.
-        new_theta = theta - (h / R) * (np.ones(R) @ grads) + xi
+        new_theta = theta - (h / R) * _slot_sum(grads) + xi
         v = None
     _raise_if_nonfinite(new_theta, state.iteration)
     return ChainState(theta=new_theta, iteration=state.iteration + 1, v=v)

@@ -20,7 +20,7 @@ from parlmc import (
     stream,
 )
 from parlmc.errors import ConfigurationError
-from parlmc.noise import ROLE_MIDPOINTS, ROLE_PATH, _drift_weights
+from parlmc.noise import ROLE_MIDPOINTS, ROLE_PATH, _drift_walk
 
 # Frozen quadrature-oracle values (mpmath, 40 digits).
 B_ORACLE_J1 = 0.19356576966960984  # gamma=1, h=1, R=2, U_2=0.75, j=1
@@ -42,11 +42,15 @@ def _kinetic_integrands(R, gamma, h, U):
 
 
 def _full_weights(R, h, U, gamma=None):
-    """The engine's shared kernels plus own-cell terms as one lower-triangular matrix."""
-    k_d, k_y, gain, own = _drift_weights(R, h, U, gamma)
-    weights = k_d + own[..., :, None] * np.eye(R)
-    if k_y is not None:
-        weights = weights + gain[..., :, None] * k_y
+    """The engine's slot walk as one lower-triangular matrix per chain.
+
+    Slot j's gradient is the identity basis vector e_j, so coordinate j of
+    slot r's drift is the weight of g_j in theta_r.
+    """
+    U = np.asarray(U, dtype=float)
+    basis = np.eye(R).reshape((R,) + (1,) * (U.ndim - 1) + (R,))
+    drift = _drift_walk(np.broadcast_to(basis, (R,) + U.shape[:-1] + (R,)), h, U, gamma)
+    weights = np.moveaxis(drift, 0, -2)
     assert not np.triu(weights, 1).any()
     return weights
 

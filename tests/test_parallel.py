@@ -55,6 +55,34 @@ class TestExecuteRound:
             execute_round(np.stack(points), quad_2d, width=3)
         assert err.value.index == 1
 
+    def test_lowest_bad_slot_reported_across_blocks(self, quad_2d, monkeypatch):
+        monkeypatch.setenv("PARLMC_WORKERS", "2")
+        points = np.zeros((8, 2))
+        points[5, 0], points[1, 1] = np.nan, np.inf
+        with pytest.raises(RoundExecutionError) as err:
+            execute_round(points, quad_2d, width=8)
+        assert err.value.index == 1
+
+    def test_failing_block_stops_and_lowest_slot_is_reported(self, monkeypatch):
+        monkeypatch.setenv("PARLMC_WORKERS", "2")  # two blocks per wave: slots 0-3 and 4-7
+
+        class FailingPotential(SyntheticDelayPotential):
+            def __init__(self, dimension):
+                super().__init__(dimension, 0.0)
+                self.seen = []
+
+            def _gradient(self, theta):
+                self.seen.append(int(theta[0]))
+                if theta[0] in (1.0, 5.0):
+                    raise ValueError("oracle failure")
+                return super()._gradient(theta)
+
+        pot = FailingPotential(2)
+        with pytest.raises(RoundExecutionError) as err:
+            execute_round(np.repeat(np.arange(8.0)[:, None], 2, axis=1), pot, width=8)
+        assert err.value.index == 1
+        assert sorted(pot.seen) == [0, 1, 4, 5]
+
     def test_empty_round_rejected(self, quad_2d):
         with pytest.raises(ConfigurationError):
             execute_round(np.zeros((0, 2)), quad_2d)

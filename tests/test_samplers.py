@@ -336,7 +336,7 @@ class TestStackedEngine:
 
     @pytest.mark.parametrize("R", [4, 37])
     def test_step_batch_equals_chain_blocks(self, quad_10d, R):
-        # The shared kernels broadcast over chains: 9 chains in one step give
+        # The slot walk is elementwise over chains: 9 chains in one step give
         # the bits of the blocks [:4] and [4:] stepped on their own.
         rng = np.random.default_rng(62)
         theta, v = rng.standard_normal((9, 10)), rng.standard_normal((9, 10))
@@ -359,6 +359,27 @@ class TestStackedEngine:
             assert np.array_equal(whole.theta, np.concatenate([head.theta, tail.theta]))
             if kinetic:
                 assert np.array_equal(whole.v, np.concatenate([head.v, tail.v]))
+
+    @pytest.mark.parametrize("kind", ["prlmc", "prklmc"])
+    @pytest.mark.parametrize("chains", [1, 7])
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_oracle_sees_contiguous_slots(self, kind, chains, width):
+        # Rounds are stored slot-major: every oracle call gets one contiguous (..., p) block.
+        class RecordingPotential(QuadraticPotential):
+            def __init__(self, precision):
+                super().__init__(precision)
+                self.contiguous = []
+
+            def _gradient(self, theta):
+                self.contiguous.append(theta.flags.c_contiguous)
+                return super()._gradient(theta)
+
+        pot = RecordingPotential(np.diag(np.linspace(1.0, 10.0, 10)))
+        cfg = SamplerConfig(h=0.01, n=3, R=5, Q=3, gamma=20.0 if kind in KINETIC_KINDS else None, seed=64,
+                            parallel_width=width)
+        _silent_run(kind, cfg, pot, n_chains=chains, record_every=10**9)
+        assert len(pot.contiguous) == cfg.n * cfg.Q * cfg.R
+        assert all(pot.contiguous)
 
     @pytest.mark.parametrize("kind", ["prlmc", "prklmc"])
     def test_step_peak_memory_is_linear(self, quad_10d, kind):
