@@ -26,7 +26,7 @@ from . import noise as noise_mod
 from .errors import ConfigurationError, DivergenceError, ParlmcError
 from .metrics import GaussianSummary, empirical_summary, theorem1_bound, theorem2_bound, w2_gaussian
 from .potentials import LogisticRidgePotential, QuadraticPotential, SyntheticDelayPotential
-from .samplers import KINDS, KINETIC_KINDS, SamplerConfig, effective_rq, run
+from .samplers import KINDS, KINETIC_KINDS, SamplerConfig, _initial_theta, effective_rq, run
 from .tuning import TuneRequest, check_preconditions, iters_limited, tune
 
 EXIT_OK = 0
@@ -119,17 +119,13 @@ def _sampler_config(raw: dict, seed_override=None, width_override=None) -> Sampl
     )
 
 
-def _quadratic_metric(potential, config, kind, n_chains, w2_init):
-    """Per-snapshot exact W2 to the Gaussian target plus the theorem bound."""
+def _quadratic_metric(potential, config, kind, n_chains, w2_init, start):
+    """Per-snapshot exact W2 to the Gaussian target plus the theorem bound from `start`."""
     target = GaussianSummary(mean=potential.mean, covariance=potential.target_covariance())
     spec = potential.spec
     kinetic = kind in KINETIC_KINDS
     eff_r, eff_q = effective_rq(kind, config)
     if kinetic:
-        theta0 = config.theta0
-        start = np.zeros(spec.dimension) if theta0 is None else np.asarray(theta0, dtype=float)
-        if start.ndim > 1:
-            start = start[0]
         f_gap = float(potential.value(start) - potential.value(spec.minimizer))
 
     def metric(iteration, state):
@@ -181,14 +177,10 @@ def _drift_metric(n_chains, dimension):
     return metric
 
 
-def _default_w2_init(raw, potential, config, n_chains):
+def _default_w2_init(raw, potential, start):
     if raw.get("w2_init") is not None:
         return float(raw["w2_init"])
     if isinstance(potential, QuadraticPotential):
-        theta0 = config.theta0
-        start = potential.spec.minimizer if theta0 is None else np.asarray(theta0, dtype=float)
-        if start.ndim > 1:
-            start = start[0]
         point = GaussianSummary(mean=start, covariance=np.zeros((potential.spec.dimension,) * 2))
         target = GaussianSummary(mean=potential.mean, covariance=potential.target_covariance())
         return w2_gaussian(point, target)
@@ -202,9 +194,10 @@ def cmd_sample(args) -> int:
     kind = raw["sampler"]
     n_chains = int(raw.get("chains", 1))
     record_every = raw.get("record_every")
-    w2_init = _default_w2_init(raw, potential, config, n_chains)
+    start = np.atleast_2d(_initial_theta(config, potential, n_chains))[0]  # chain 0's start, as run sets it
+    w2_init = _default_w2_init(raw, potential, start)
     if isinstance(potential, QuadraticPotential):
-        metric = _quadratic_metric(potential, config, kind, n_chains, w2_init)
+        metric = _quadratic_metric(potential, config, kind, n_chains, w2_init, start)
     else:
         metric = _drift_metric(n_chains, potential.spec.dimension)
 
@@ -291,14 +284,14 @@ def cmd_noise_check(args) -> int:
     rng = noise_mod.stream(args.seed, 0, noise_mod.ROLE_PATH)
     if args.kind == "vanilla":
         draw = noise_mod.draw_vanilla_noise(args.R, args.h, 1, u, rng, size=args.samples)
-        samples = np.concatenate([draw.xi_mid[:, :, 0], draw.xi_full], axis=1)
+        samples = np.concatenate([draw.xi_mid[:, :, 0].T, draw.xi_full], axis=1)
         tu = np.append(u, 1.0)
         analytic = 2.0 * args.h * np.minimum(tu[:, None], tu[None, :])
         labels = [f"xi_{r + 1}" for r in range(args.R)] + ["xi_full"]
     else:
         _require(args.gamma is not None and args.gamma > 0, "kinetic noise needs --gamma > 0")
         draw = noise_mod.draw_kinetic_noise(args.R, args.gamma, args.h, 1, u, rng, size=args.samples)
-        samples = np.concatenate([draw.xi_mid[:, :, 0], draw.xi_full, draw.xi_bar], axis=1)
+        samples = np.concatenate([draw.xi_mid[:, :, 0].T, draw.xi_full, draw.xi_bar], axis=1)
         analytic = noise_mod.kinetic_covariance(args.R, args.gamma, args.h, u)
         labels = [f"xi_{r + 1}" for r in range(args.R)] + ["xi_full", "xi_bar"]
 

@@ -19,9 +19,10 @@ walk carries ``D(t) = int_0^t (1 - e^{-gamma (t - s)}) dW`` and
 each gap are a 2x2 Gaussian.  :func:`kinetic_covariance` is the closed-form
 Ito-isometry covariance of the kinetic draw, kept as its reference.
 
-Both draws store their midpoint integrals slot-major, (R, ..., p) behind the
-public (..., R, p) shape of ``xi_mid``, so slot r is one contiguous (..., p)
-block like the engine's rounds.
+Both draws return ``xi_mid`` in the engine's round shape, slot-major
+(R, ..., p), so slot r is one contiguous (..., p) block like theta.  The
+midpoints U and the normals are drawn chain-major, so a chain's draw does not
+depend on the ensemble size; ``_slot_view`` turns them into slot views.
 
 The refinement weights ``coeff_a_vanilla``/``coeff_b_kinetic`` are the scalar
 references.  The engine applies them through ``_drift_walk``, an O(R) walk
@@ -46,7 +47,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, InternalError
-from .parallel import round_view, slot_major
 
 ROLE_MIDPOINTS = 0
 ROLE_PATH = 1
@@ -127,7 +127,7 @@ class VanillaNoiseDraw:
     """Joint Brownian functionals of one vanilla outer iteration."""
 
     U: np.ndarray        # (..., R) midpoints the draw was conditioned on
-    xi_mid: np.ndarray   # (..., R, p) midpoint increments, sqrt(2) scaled
+    xi_mid: np.ndarray   # (R, ..., p) midpoint increments, sqrt(2) scaled
     xi_full: np.ndarray  # (..., p) full-step increment, sqrt(2) scaled
 
 
@@ -136,7 +136,7 @@ class KineticNoiseDraw:
     """Joint exponential Brownian functionals of one kinetic outer iteration."""
 
     U: np.ndarray        # (..., R)
-    xi_mid: np.ndarray   # (..., R, p)
+    xi_mid: np.ndarray   # (R, ..., p)
     xi_full: np.ndarray  # (..., p)
     xi_bar: np.ndarray   # (..., p)
 
@@ -184,6 +184,12 @@ def coeff_b_kinetic(R: int, gamma: float, h: float, U, j: int, r: int) -> float:
     return float(length - np.exp(-gamma * (u_r * h - u2)) * _em1(gamma * length) / gamma)
 
 
+def _slot_view(a: np.ndarray, *axes: int) -> np.ndarray:
+    """View of chain-major `a` with its negative `axes` (default -1) first, in order (np.moveaxis costs ~7 us)."""
+    front = tuple(a.ndim + ax for ax in axes or (-1,))
+    return a.transpose(front + tuple(i for i in range(a.ndim) if i not in front))
+
+
 def _drift_walk(grads, h: float, U, gamma: float | None = None, out=None) -> np.ndarray:
     """Refinement drift of every slot from slot-major (R, ..., p) gradients, in O(R) slot passes.
 
@@ -203,7 +209,7 @@ def _drift_walk(grads, h: float, U, gamma: float | None = None, out=None) -> np.
     """
     R = grads.shape[0]
     out = np.empty(grads.shape) if out is None else out
-    cell = h * slot_major((np.asarray(U, dtype=float) - np.arange(R) / R)[..., None])  # (R, ..., 1)
+    cell = h * _slot_view(np.asarray(U, dtype=float) - np.arange(R) / R)[..., None]  # (R, ..., 1)
     out[0] = 0.0
     for r in range(1, R):
         np.add(out[r - 1], grads[r - 1], out=out[r])                    # A_r
@@ -261,11 +267,11 @@ def draw_vanilla_noise(
     dt = _gaps(times)
     z = rng.standard_normal(times.shape + (p,))  # drawn chain-major
     # Slot-major (R+1, ..., p) path: one in-place slice add per slot (np.cumsum along axis 0 is slower).
-    path = np.multiply(slot_major(np.sqrt(dt)[..., None]), slot_major(z), order="C")
+    path = np.multiply(_slot_view(np.sqrt(dt))[..., None], _slot_view(z, -2), order="C")
     for k in range(1, R + 1):
         path[k] += path[k - 1]
     path *= _SQRT2
-    return VanillaNoiseDraw(U=u, xi_mid=round_view(path[:R]), xi_full=path[R])
+    return VanillaNoiseDraw(U=u, xi_mid=path[:R], xi_full=path[R])
 
 
 def kinetic_covariance(R: int, gamma: float, h: float, U: np.ndarray) -> np.ndarray:
@@ -328,12 +334,12 @@ def draw_kinetic_noise(
     """
     u, times = _time_grid(h, U, size)
     # Slot-major (R+1, p, ...) walk: each broadcast is one pass over the chains, not C passes of p.
-    x = np.moveaxis(gamma * _gaps(times), -1, 0)[:, None]     # (R+1, 1, ...)
+    x = _slot_view(gamma * _gaps(times))[:, None]             # (R+1, 1, ...)
     var_y, cov = _em1(2.0 * x) / (2.0 * gamma), _g3(x) / gamma
     # y first, then d given y; var_y is 0 on a gap of length 0 (tied times).
     slope = np.divide(cov, var_y, out=np.zeros_like(cov), where=var_y > 0)
     cond_sd = np.sqrt(np.maximum(_g2(x) / gamma - slope * cov, 0.0))
-    z = np.moveaxis(rng.standard_normal(times.shape + (2, p)), (-3, -2, -1), (0, 1, 2))  # drawn chain-major
+    z = _slot_view(rng.standard_normal(times.shape + (2, p)), -3, -2, -1)  # drawn chain-major
     y = np.multiply(np.sqrt(var_y), z[:, 0], order="C")
     D = np.multiply(cond_sd, z[:, 1], order="C") + slope * y  # each gap's d, then D in place
     gain, decay, Y = _em1(x), np.exp(-x), np.zeros(y.shape[1:])
@@ -341,6 +347,7 @@ def draw_kinetic_noise(
         D[k] += gain[k] * Y
         D[k] += D[k - 1] if k else 0.0
         Y = decay[k] * Y + y[k]
-    D = np.multiply(np.moveaxis(D, 1, -1), _SQRT2, order="C")  # slot-major (R+1, ..., p)
-    xi_bar = np.multiply(np.moveaxis(Y, 0, -1), _SQRT2, order="C")
-    return KineticNoiseDraw(U=u, xi_mid=round_view(D[:R]), xi_full=D[R], xi_bar=xi_bar)
+    n = D.ndim
+    D = np.multiply(D.transpose((0, *range(2, n), 1)), _SQRT2, order="C")  # slot-major (R+1, ..., p)
+    xi_bar = np.multiply(Y.transpose((*range(1, n - 1), 0)), _SQRT2, order="C")
+    return KineticNoiseDraw(U=u, xi_mid=D[:R], xi_full=D[R], xi_bar=xi_bar)

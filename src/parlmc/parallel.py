@@ -1,23 +1,21 @@
 """Round-based parallel gradient execution with deterministic reduction.
 
 One *round* evaluates R gradients that may run concurrently; rounds are the
-unit of time complexity.  A round goes in with the public (..., R, p) shape
-and its gradients come back in the same shape, slot r at [..., r, :].  The
-engine stores a round slot-major, (R, ..., p) behind that shape, so slot r is
-one contiguous (..., p) block like theta; ``slot_major`` and ``round_view``
-switch between the two views without a copy.  The gradients are allocated
-slot-major and returned through ``round_view``.
+unit of time complexity.  A round is one slot-major (R, ..., p) array, slot r
+at [r], a contiguous (..., p) block like theta, and its gradients come back
+in the same shape.
 
 A round is validated once, and each slot is one ``potential._gradient`` call
 on its block; the counter records R evaluations and ceil(R / width) rounds
-once.  A worker budget (``width``) below R splits the round into
-ceil(R / width) waves, and each pool worker takes one contiguous block of a
-wave's slots.  Each gradient is written to its slot by index, never by
-completion order, so trajectories are bitwise independent of scheduling.
+once.  The round is split into k = min(width, cap, R) contiguous blocks of
+slots: block 0 runs on the calling thread and blocks 1..k-1 on the shared
+pool, so at most k <= width gradients are in flight.  Each gradient is
+written to its slot by index, never by completion order, so trajectories are
+bitwise independent of scheduling.
 
 Rounds share one thread pool, grown only when a round needs more workers;
-the ``PARLMC_WORKERS`` environment variable caps its thread count without
-changing the accounting.
+the ``PARLMC_WORKERS`` environment variable (the cap) limits the threads a
+round runs on, the caller's included, without changing the accounting.
 """
 
 from __future__ import annotations
@@ -50,18 +48,6 @@ def worker_limit() -> int | None:
     return value
 
 
-def slot_major(a: np.ndarray) -> np.ndarray:
-    """The slot-major (R, ..., p) view of a (..., R, p) array (np.moveaxis costs several us a call)."""
-    n = a.ndim
-    return a.transpose((n - 2, *range(n - 2), n - 1))
-
-
-def round_view(a: np.ndarray) -> np.ndarray:
-    """The public (..., R, p) view of a slot-major (R, ..., p) array; the inverse of `slot_major`."""
-    n = a.ndim
-    return a.transpose((*range(1, n - 1), 0, n - 1))
-
-
 def _run_block(fn, slots, grads, block):
     """Evaluate slots[i] into grads[i] for i in `block`; stop at the first failure and return (i, exc)."""
     for i in block:
@@ -72,19 +58,22 @@ def _run_block(fn, slots, grads, block):
     return None
 
 
-def _submit_blocks(fn, slots, grads, blocks, workers: int, cap: int | None) -> list[Future]:
-    """Submit one wave's slot blocks to the shared pool, resized to `workers` threads first.
+def _submit_blocks(fn, slots, grads, blocks, cap: int | None) -> list[Future]:
+    """Submit slot blocks to the shared pool, first resized to one thread per block if too small or at the cap.
 
-    A pool with fewer threads, or more than the cap, is replaced and shut down
-    (its queued work still runs); submitting under the lock closes the gap.
+    Submits nothing and touches no pool when `blocks` is empty.  A replaced
+    pool is shut down (its queued work still runs); submitting under the lock
+    closes the gap.
     """
     global _pool, _pool_size
+    if not blocks:
+        return []
     with _pool_lock:
-        if _pool_size < workers or (cap is not None and _pool_size > cap):
+        if _pool_size < len(blocks) or (cap is not None and _pool_size >= cap):
             if _pool is not None:
                 _pool.shutdown(wait=False)
-            _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="parlmc-round")
-            _pool_size = workers
+            _pool = ThreadPoolExecutor(max_workers=len(blocks), thread_name_prefix="parlmc-round")
+            _pool_size = len(blocks)
         return [_pool.submit(_run_block, fn, slots, grads, block) for block in blocks]
 
 
@@ -93,43 +82,38 @@ def _fail(i: int, exc: Exception):
 
 
 def execute_round(points: np.ndarray, potential, width: int | None = None) -> np.ndarray:
-    """Gradients of a (..., R, p) round, slot r at [..., r, :] as in `points`.
+    """Gradients of a slot-major (R, ..., p) round, slot r at [r] as in `points`.
 
     The points are validated once; a failure names the lowest offending slot.
-    Each slot is then one `potential._gradient` call on points[..., r, :],
-    contiguous when `points` is a slot-major view.  A worker budget `width`
-    below R (None means R) runs ceil(R / width) waves.  Updates the
-    potential's counter: +R evaluations and +ceil(R / width) sequential rounds.
+    Each slot is then one `potential._gradient` call on points[r].  A worker
+    budget `width` (None means R) bounds the gradients in flight: the round
+    runs as min(width, cap, R) contiguous blocks, the first on the calling
+    thread.  Updates the potential's counter: +R evaluations and
+    +ceil(R / width) sequential rounds.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim < 2 or points.shape[-2] == 0:
-        raise ConfigurationError(f"a round needs (..., R, p) points with R >= 1, got shape {points.shape}")
-    R = points.shape[-2]
+    if points.ndim < 2 or points.shape[0] == 0:
+        raise ConfigurationError(f"a round needs (R, ..., p) points with R >= 1, got shape {points.shape}")
+    R = points.shape[0]
     width = R if width is None else int(width)
     if width < 1:
         raise ConfigurationError(f"parallel width must be >= 1, got {width}")
 
-    slots = slot_major(points)
     try:
-        potential._validate(slots)
+        potential._validate(points)
     except (ConfigurationError, DomainError) as exc:
         # The lowest slot with a non-finite point; a shape error concerns every slot and names slot 0.
-        _fail(int(np.argmax(~np.isfinite(slots).reshape(R, -1).all(axis=1))), exc)
-    grads = np.empty(slots.shape)
+        _fail(int(np.argmax(~np.isfinite(points).reshape(R, -1).all(axis=1))), exc)
+    grads = np.empty(points.shape)
     cap = worker_limit()
-    workers = min(width, cap or width, R)
-    for wave_start in range(0, R, width):
-        n = min(width, R - wave_start)
-        k = min(workers, n)
-        blocks = [range(wave_start + n * b // k, wave_start + n * (b + 1) // k) for b in range(k)]
-        if k > 1:
-            futures = _submit_blocks(potential._gradient, slots, grads, blocks, workers, cap)
-            failures = [f.result() for f in futures]
-        else:
-            failures = [_run_block(potential._gradient, slots, grads, blocks[0])]
-        failed = [f for f in failures if f is not None]
-        if failed:
-            _fail(*min(failed, key=lambda f: f[0]))
+    k = min(width, cap or width, R)
+    blocks = [range(R * b // k, R * (b + 1) // k) for b in range(k)]
+    futures = _submit_blocks(potential._gradient, points, grads, blocks[1:], cap)
+    failures = [_run_block(potential._gradient, points, grads, blocks[0])]
+    failures += [f.result() for f in futures]
+    failed = [f for f in failures if f is not None]
+    if failed:
+        _fail(*min(failed, key=lambda f: f[0]))
     potential.counter.add_evals(R)
     potential.counter.add_rounds(math.ceil(R / width))
-    return round_view(grads)
+    return grads

@@ -156,9 +156,13 @@ class QuadraticPotential(Potential):
 
 
 def _sigmoid_neg(u):
-    """sigma(-u) = 1 / (1 + e^u), overflow-safe on both tails: e^{-|u|} is all it exponentiates."""
-    e = np.exp(-np.abs(u))
-    return np.where(u >= 0, e, 1.0) / (1 + e)
+    """sigma(-u) = 1 / (1 + e^u), overflow-safe: e^{-|u|} is all it exponentiates; in place, as temporaries page-fault."""
+    e = np.abs(u)
+    np.exp(np.negative(e, out=e), out=e)
+    w = np.where(u >= 0, e, 1.0)
+    e += 1.0
+    w /= e
+    return w
 
 
 class LogisticRidgePotential(Potential):
@@ -192,11 +196,14 @@ class LogisticRidgePotential(Potential):
         super().__init__(PotentialSpec(p, m, M, minimizer=minimizer))
 
     def _margins(self, theta):
-        return (theta @ self.X.T) * self.y  # (..., N)
+        u = theta @ self.X.T  # (..., N)
+        u *= self.y
+        return u
 
     def _gradient(self, theta):
         w = _sigmoid_neg(self._margins(theta))
-        return -(w * self.y) @ self.X + self.ridge * theta
+        w *= -self.y  # labels are +-1, so this is -(w * y) exactly
+        return w @ self.X + self.ridge * theta
 
     def _value(self, theta):
         u = self._margins(theta)
@@ -205,8 +212,8 @@ class LogisticRidgePotential(Potential):
     def _solve_minimizer(self, p, m, M):
         theta = np.zeros(p)
         for _ in range(100):
-            w = _sigmoid_neg((self.X @ theta) * self.y)
-            g = -(w * self.y) @ self.X + self.ridge * theta
+            w = _sigmoid_neg(self._margins(theta))
+            g = self._gradient(theta)
             if np.linalg.norm(g, np.inf) <= _MINIMIZER_GTOL * M * (1 + np.linalg.norm(theta)):
                 break
             hess = self.X.T @ (self.X * (w * (1 - w))[:, None]) + self.ridge * np.eye(p)

@@ -29,14 +29,14 @@ are computed once per refinement round and reused across the prefix sums
 (without this caching the refinement would cost O(R^2) evaluations), and the
 final update evaluates the fresh round-(Q-1) states.
 
-A round has the public (..., R, p) shape of ``xi_mid``, slot r at [..., r, :],
-and is stored slot-major, (R, ..., p) behind that shape, so slot r is one
-contiguous (..., p) block like theta; ``execute_round`` returns its gradients
-the same way.  The prefix combine is ``noise._drift_walk``, an O(R) walk over
-the slots that carries prefix sums of the earlier slots' gradients, plus a
-per-chain own-cell term; no (R, R) weight array is built.  The final slot
-sums add one slot at a time.  Every step of both is elementwise over chains,
-so the bits do not depend on the chain count.
+A round is one slot-major (R, ..., p) array, the shape of ``xi_mid``: slot r
+at [r] is one contiguous (..., p) block like theta, and ``execute_round``
+returns its gradients in the same shape.  The prefix combine is
+``noise._drift_walk``, an O(R) walk over the slots that carries prefix sums
+of the earlier slots' gradients, plus a per-chain own-cell term; no (R, R)
+weight array is built.  The final slot sums add one slot at a time.  Every
+step of both is elementwise over chains, so the bits do not depend on the
+chain count.
 
 States are vectorized: theta has shape (p,) for one chain or (C, p) for an
 ensemble advancing in lockstep.  All randomness is keyed by (seed, iteration,
@@ -59,7 +59,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from .errors import ConfigurationError, DivergenceError
-from .parallel import execute_round, round_view, slot_major
+from .parallel import execute_round
 from .potentials import Potential
 from .tuning import check_preconditions
 
@@ -152,7 +152,7 @@ def _draw(kind, config, k, R, theta):
 
 
 def _refine(kind, theta, v, R, Q, noise, config, potential):
-    """Slot-major (R, ..., p) gradients of the last round's points, after Q - 1 refinement rounds.
+    """(R, ..., p) gradients of the last round's points, after Q - 1 refinement rounds.
 
     The first round evaluates R copies of theta, broadcast without a copy;
     each refinement round sets the points to base - drift + xi_mid, with the
@@ -160,22 +160,21 @@ def _refine(kind, theta, v, R, Q, noise, config, potential):
     """
     width = config.parallel_width
     shape = (R,) + theta.shape
-    grads = slot_major(execute_round(round_view(np.broadcast_to(theta, shape)), potential, width))
+    grads = execute_round(np.broadcast_to(theta, shape), potential, width)
     if Q > 1:
         h = config.h
         gamma = config.gamma if kind in KINETIC_KINDS else None
         base = theta
         if gamma is not None:
             a = noise_mod._em1(gamma * h * noise.U) / gamma              # (..., R) velocity weight
-            base = slot_major(a[..., None]) * v
+            base = noise_mod._slot_view(a)[..., None] * v
             base += theta  # in place: a fresh broadcast sum is several times slower
-        xi_mid = slot_major(noise.xi_mid)
         points = np.empty(shape)
     for _ in range(1, Q):
         noise_mod._drift_walk(grads, h, noise.U, gamma, out=points)
         np.subtract(base, points, out=points)
-        points += xi_mid
-        grads = slot_major(execute_round(round_view(points), potential, width))
+        points += noise.xi_mid
+        grads = execute_round(points, potential, width)
     return grads
 
 
@@ -204,7 +203,7 @@ def step(kind: str, state: ChainState, config: SamplerConfig, potential: Potenti
     xi = np.asarray(noise) if bare else noise.xi_full
     grads = _refine(kind, theta, v, R, Q, noise, config, potential)
     if kind in KINETIC_KINDS:
-        tail = slot_major((gamma * h * (1.0 - noise.U))[..., None])     # (R, ..., 1)
+        tail = noise_mod._slot_view(gamma * h * (1.0 - noise.U))[..., None]  # (R, ..., 1)
         sum_theta = _slot_sum(grads, (h / R) * noise_mod._em1(tail))
         sum_v = _slot_sum(grads, (h / R) * np.exp(-tail))
         new_theta = theta + (noise_mod._em1(gamma * h) / gamma) * v - sum_theta + xi
@@ -281,7 +280,8 @@ class RunTrace:
                 fh.write(self.to_csv())
 
 
-def _initial_state(kind, config, potential, n_chains):
+def _initial_theta(config, potential, n_chains):
+    """Start of every chain: theta0, else the potential's minimizer, else zeros."""
     p = potential.spec.dimension
     if config.theta0 is not None:
         theta0 = np.asarray(config.theta0, dtype=float)
@@ -298,6 +298,11 @@ def _initial_state(kind, config, potential, n_chains):
         if theta0.shape != (n_chains, p):
             raise ConfigurationError(f"theta0 must be ({n_chains}, {p}) for this ensemble")
         theta0 = theta0.copy()
+    return theta0
+
+
+def _initial_state(kind, config, potential, n_chains):
+    theta0 = _initial_theta(config, potential, n_chains)
     v0 = None
     if kind in KINETIC_KINDS:
         if config.v0 is not None:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from parlmc.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from parlmc.metrics import theorem2_bound
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -116,6 +117,22 @@ class TestSample:
         out = tmp_path / "div"
         assert main(["sample", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_DIVERGED
         assert (out / "trace_partial.json").exists()
+
+    def test_kinetic_bound_starts_at_the_minimizer_without_theta0(self, tmp_path):
+        # run() starts every chain at the minimizer, so the Theorem 2 gap term is 0.
+        cfg = _write_config(
+            tmp_path,
+            potential={"kind": "quadratic", "precision_diag": [1.0, 2.0], "mean": [3.0, -2.0]},
+            sampler="rklmc", gamma=10.0, h=0.01, n=4, chains=1, record_every=4,
+        )
+        out = tmp_path / "kin"
+        assert main(["sample", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+        trace = json.loads((out / "trace.json").read_text())
+        row0 = trace["rows"][0]
+        assert row0["dist_to_mean"] == 0.0
+        want = theorem2_bound(h=0.01, Q=2, R=1, m=1.0, M=2.0, gamma=10.0, p=2,
+                              w2_init=trace["config"]["w2_init"], f_gap=0.0, n=0)
+        assert row0["bound_initialization"] == pytest.approx(want.initialization_term, rel=1e-12)
 
     def test_logistic_targets_report_drift(self, tmp_path):
         data = tmp_path / "data.csv"

@@ -199,7 +199,7 @@ class TestVanillaNoise:
     def test_midpoint_cross_covariance(self):
         U = np.array([0.3, 0.7])
         d = draw_vanilla_noise(2, 0.1, 1, U, stream(7, 0, ROLE_PATH), size=100_000)
-        cov = np.cov(d.xi_mid[:, 0, 0], d.xi_mid[:, 1, 0])[0, 1]
+        cov = np.cov(d.xi_mid[0, :, 0], d.xi_mid[1, :, 0])[0, 1]
         # 2 h min(U) = 0.06; SE of the covariance estimator
         se = np.sqrt((2 * 0.1 * 0.3 * 2 * 0.1 * 0.7 + 0.06**2) / (100_000 - 1))
         assert abs(cov - 0.06) < 3 * se
@@ -207,7 +207,7 @@ class TestVanillaNoise:
     def test_terminal_gap_variance(self):
         U = np.array([0.4])
         d = draw_vanilla_noise(1, 0.1, 1, U, stream(8, 0, ROLE_PATH), size=100_000)
-        gap = d.xi_full[:, 0] - d.xi_mid[:, 0, 0]
+        gap = d.xi_full[:, 0] - d.xi_mid[0, :, 0]
         target = 2 * 0.1 * (1 - 0.4)
         se = target * np.sqrt(2 / (100_000 - 1))
         assert abs(gap.var(ddof=1) - target) < 3 * se
@@ -293,7 +293,7 @@ class TestKineticNoise:
         R, gamma, h = 2, 1.0, 0.1
         U = np.array([0.2, 0.8])
         d = draw_kinetic_noise(R, gamma, h, 1, U, stream(13, 0, ROLE_PATH), size=100_000)
-        x = np.concatenate([d.xi_mid[:, :, 0], d.xi_full, d.xi_bar], axis=1)
+        x = np.concatenate([d.xi_mid[:, :, 0].T, d.xi_full, d.xi_bar], axis=1)
         emp = np.cov(x, rowvar=False)
         ana = kinetic_covariance(R, gamma, h, U)
         se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana**2) / (100_000 - 1))
@@ -309,6 +309,24 @@ class TestKineticNoise:
         a = draw_kinetic_noise(2, 1.0, 0.1, 3, U, stream(14, 1, ROLE_PATH))
         b = draw_kinetic_noise(2, 1.0, 0.1, 3, U, stream(14, 1, ROLE_PATH))
         assert np.array_equal(a.xi_bar, b.xi_bar) and np.array_equal(a.xi_mid, b.xi_mid)
+
+
+@pytest.mark.parametrize("kinetic", [False, True])
+def test_ensemble_xi_mid_is_slot_major(kinetic):
+    # xi_mid has the engine's round shape (R, C, p); chain 0 is the 1-chain draw of the same stream.
+    R, h, p = 5, 0.1, 3
+    U = draw_midpoints(R, stream(16, 0, ROLE_MIDPOINTS), size=7)
+
+    def draw(u, size):
+        rng = stream(16, 0, ROLE_PATH)
+        if kinetic:
+            return draw_kinetic_noise(R, 2.0, h, p, u, rng, size=size)
+        return draw_vanilla_noise(R, h, p, u, rng, size=size)
+
+    whole, single = draw(U, 7), draw(U[0], None)
+    assert whole.xi_mid.shape == (R, 7, p)
+    assert whole.xi_mid.flags.c_contiguous
+    assert np.array_equal(whole.xi_mid[:, 0], single.xi_mid)
 
 
 def test_streams_differ_across_keys():

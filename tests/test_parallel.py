@@ -133,6 +133,30 @@ class TestExecuteRound:
         with pytest.raises(ConfigurationError):
             execute_round(np.ones((4, 2)), quad_2d, width=4)
 
+    def test_first_block_runs_on_the_caller(self, monkeypatch):
+        monkeypatch.delenv("PARLMC_WORKERS", raising=False)
+
+        class ThreadRecordingPotential(SyntheticDelayPotential):
+            def __init__(self, dimension):
+                super().__init__(dimension, 0.0)
+                self.threads = {}
+
+            def _gradient(self, theta):
+                self.threads[int(theta[0])] = threading.get_ident()
+                return super()._gradient(theta)
+
+        caller = threading.get_ident()
+        points = np.repeat(np.arange(8.0)[:, None], 2, axis=1)
+        pot = ThreadRecordingPotential(2)
+        execute_round(points, pot, width=4)  # blocks: slots 0-1 (caller), 2-3, 4-5, 6-7
+        assert [pot.threads[i] == caller for i in range(8)] == [True] * 2 + [False] * 6
+
+        execute_round(points, pot, width=8)  # an uncapped pool of 7 threads
+        monkeypatch.setenv("PARLMC_WORKERS", "1")
+        pot.threads.clear()
+        execute_round(points, pot, width=8)
+        assert all(pot.threads[i] == caller for i in range(8))
+
     def test_one_pool_across_widths(self, quad_2d, monkeypatch):
         monkeypatch.setenv("PARLMC_WORKERS", "2")  # shrink whatever pool earlier tests left
         execute_round(np.zeros((4, 2)), quad_2d)

@@ -270,7 +270,7 @@ def slot_vanilla_iteration(theta, h, R, Q, noise, grad):
     points = [theta] * R
     for _ in range(1, Q):
         combined = _slot_prefix_combine([grad(x) for x in points], weights)
-        points = [theta - combined[r] + noise.xi_mid[..., r, :] for r in range(R)]
+        points = [theta - combined[r] + noise.xi_mid[r] for r in range(R)]
     grads = [grad(x) for x in points]
     total = grads[0]
     for r in range(1, R):
@@ -286,7 +286,7 @@ def slot_kinetic_iteration(theta, v, h, R, Q, gamma, noise, grad):
     points = [theta] * R
     for _ in range(1, Q):
         combined = _slot_prefix_combine([grad(x) for x in points], weights)
-        points = [base[r] - combined[r] + noise.xi_mid[..., r, :] for r in range(R)]
+        points = [base[r] - combined[r] + noise.xi_mid[r] for r in range(R)]
     grads = [grad(x) for x in points]
     tail = gamma * h * (1.0 - noise.U)
     w_theta = (h / R) * -np.expm1(-tail)
@@ -351,7 +351,8 @@ class TestStackedEngine:
             kinetic = kind in KINETIC_KINDS
 
             def block(rows):
-                sub = type(noise)(**{f.name: getattr(noise, f.name)[rows] for f in dataclasses.fields(noise)})
+                sub = type(noise)(**{f.name: getattr(noise, f.name)[(slice(None), rows) if f.name == "xi_mid" else rows]
+                                      for f in dataclasses.fields(noise)})
                 state = ChainState(theta=theta[rows], v=v[rows] if kinetic else None)
                 return step(kind, state, cfg, quad_10d, noise=sub)
 
