@@ -14,7 +14,6 @@ threads without changing the round accounting.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -26,18 +25,19 @@ from . import noise as noise_mod
 from .errors import ConfigurationError, DivergenceError, ParlmcError
 from .metrics import GaussianSummary, empirical_summary, theorem1_bound, theorem2_bound, w2_gaussian
 from .potentials import LogisticRidgePotential, QuadraticPotential, SyntheticDelayPotential
-from .samplers import KINDS, KINETIC_KINDS, SamplerConfig, _initial_theta, effective_rq, run
-from .tuning import TuneRequest, check_preconditions, iters_limited, tune
+from .samplers import KINDS, KINETIC_KINDS, SamplerConfig, _initial_theta, _preconditions, effective_rq, run
+from .tuning import TuneRequest, iters_limited, tune
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_STATCHECK = 4
 
+# Per potential kind: the allowed keys, then the required ones.
 _POTENTIAL_KEYS = {
-    "quadratic": {"kind", "precision", "precision_diag", "mean"},
-    "logistic_ridge": {"kind", "csv_path", "ridge"},
-    "synthetic_delay": {"kind", "dimension", "delay_seconds"},
+    "quadratic": ({"kind", "precision", "precision_diag", "mean"}, ()),
+    "logistic_ridge": ({"kind", "csv_path", "ridge"}, ("csv_path", "ridge")),
+    "synthetic_delay": ({"kind", "dimension", "delay_seconds"}, ("dimension", "delay_seconds")),
 }
 _EXPERIMENT_KEYS = {
     "potential",
@@ -62,12 +62,33 @@ def _require(cond, message):
         raise ConfigurationError(message)
 
 
+def _strict_object(raw, what: str, allowed=None, required=()) -> dict:
+    """`raw` if it is a JSON object with no key outside `allowed` (when given) and every `required` key."""
+    _require(isinstance(raw, dict), f"{what} must be a JSON object")
+    unknown = set(raw) - allowed if allowed is not None else set()
+    _require(not unknown, f"unknown {what} keys: {sorted(unknown)}")
+    for key in required:
+        _require(key in raw, f"{what} key {key!r} is required")
+    return raw
+
+
+def _read_json(path: str, what: str):
+    """The JSON value in file `path`, or on stdin for '-'."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigurationError(f"{what} file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from None
+
+
 def build_potential(spec: dict):
-    _require(isinstance(spec, dict), "potential must be an object")
-    kind = spec.get("kind")
+    kind = _strict_object(spec, "potential").get("kind")
     _require(kind in _POTENTIAL_KEYS, f"unknown potential kind {kind!r}")
-    unknown = set(spec) - _POTENTIAL_KEYS[kind]
-    _require(not unknown, f"unknown potential keys: {sorted(unknown)}")
+    _strict_object(spec, "potential", *_POTENTIAL_KEYS[kind])
     if kind == "quadratic":
         _require(
             ("precision" in spec) != ("precision_diag" in spec),
@@ -78,25 +99,13 @@ def build_potential(spec: dict):
             return QuadraticPotential.from_diagonal(spec["precision_diag"], mean)
         return QuadraticPotential(np.asarray(spec["precision"], dtype=float), mean)
     if kind == "logistic_ridge":
-        _require("csv_path" in spec and "ridge" in spec, "logistic_ridge needs csv_path and ridge")
         return LogisticRidgePotential.from_csv(spec["csv_path"], float(spec["ridge"]))
-    _require("dimension" in spec and "delay_seconds" in spec, "synthetic_delay needs dimension and delay_seconds")
     return SyntheticDelayPotential(int(spec["dimension"]), float(spec["delay_seconds"]))
 
 
 def load_experiment(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from None
-    _require(isinstance(raw, dict), "experiment config must be a JSON object")
-    unknown = set(raw) - _EXPERIMENT_KEYS
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-    for key in ("potential", "sampler", "h", "n"):
-        _require(key in raw, f"config key {key!r} is required")
+    required = ("potential", "sampler", "h", "n")
+    raw = _strict_object(_read_json(path, "config"), "config", _EXPERIMENT_KEYS, required)
     _require(raw["sampler"] in KINDS, f"sampler must be one of {KINDS}, got {raw['sampler']!r}")
     return raw
 
@@ -220,35 +229,17 @@ def cmd_sample(args) -> int:
 
 def _write_trace(trace, out_dir: Path, fmt: str, stem: str):
     paths = []
-    if fmt in ("json", "both"):
-        path = out_dir / f"{stem}.json"
-        trace.write(json_path=path)
-        paths.append(str(path))
-    if fmt in ("csv", "both"):
-        path = out_dir / f"{stem}.csv"
-        trace.write(csv_path=path)
-        paths.append(str(path))
+    for ext, render in (("json", trace.to_json), ("csv", trace.to_csv)):
+        if fmt in (ext, "both"):
+            path = out_dir / f"{stem}.{ext}"
+            path.write_text(render(), newline="")
+            paths.append(str(path))
     return paths
 
 
 def cmd_tune(args) -> int:
-    if args.request == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            text = Path(args.request).read_text()
-        except FileNotFoundError:
-            raise ConfigurationError(f"request file not found: {args.request}") from None
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"invalid JSON request ({exc})") from None
-    _require(isinstance(raw, dict), "tune request must be a JSON object")
-    allowed = {"regime", "epsilon", "m", "M", "p", "w2_init", "R"}
-    unknown = set(raw) - allowed
-    _require(not unknown, f"unknown request keys: {sorted(unknown)}")
-    for key in ("regime", "epsilon", "m", "M", "p"):
-        _require(key in raw, f"request key {key!r} is required")
+    required = ("regime", "epsilon", "m", "M", "p")
+    raw = _strict_object(_read_json(args.request, "request"), "request", {*required, "w2_init", "R"}, required)
     req = TuneRequest(
         epsilon=float(raw["epsilon"]),
         m=float(raw["m"]),
@@ -359,16 +350,12 @@ def cmd_check(args) -> int:
     potential = build_potential(raw["potential"])
     config = _sampler_config(raw, args.seed, args.parallel_width)
     kind = raw["sampler"]
-    regime = "kinetic" if kind in KINETIC_KINDS else "vanilla"
-    if regime == "kinetic":
-        _require(config.gamma is not None, "kinetic samplers need gamma")
-    eff_r, eff_q = effective_rq(kind, config)
-    checks = check_preconditions(dataclasses.replace(config, R=eff_r, Q=eff_q), potential.spec, regime)
+    regime, effective, checks = _preconditions(kind, config, potential.spec)
     report = {
         "sampler": kind,
         "regime": regime,
-        "effective_R": eff_r,
-        "effective_Q": eff_q,
+        "effective_R": effective.R,
+        "effective_Q": effective.Q,
         "checks": [c.to_dict() for c in checks],
         "all_passed": all(c.passed for c in checks),
     }

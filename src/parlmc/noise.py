@@ -233,9 +233,11 @@ def _drift_walk(grads, h: float, U, gamma: float | None = None, out=None) -> np.
     return out
 
 
-def _time_grid(h: float, U, size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints U broadcast to `size` chains, and the times (h U_1..h U_R, h)."""
+def _time_grid(R: int, h: float, U, size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints U broadcast to `size` chains, and the times (h U_1..h U_R, h); U must hold R midpoints."""
     u = np.asarray(U, dtype=float)
+    if u.shape[-1:] != (R,):
+        raise ConfigurationError(f"midpoints U of shape {u.shape} do not hold R = {R} midpoints per chain")
     if size is not None and u.ndim == 1:
         u = np.broadcast_to(u, (int(size),) + u.shape).copy()
     return u, np.concatenate([u * h, np.full(u.shape[:-1] + (1,), float(h))], axis=-1)
@@ -263,7 +265,7 @@ def draw_vanilla_noise(
     summing independent increments, then scales by sqrt(2).  Per coordinate,
     Cov(xi_r, xi_s) = 2 h min(U_r, U_s), Cov(xi_r, xi) = 2 h U_r, Var(xi) = 2h.
     """
-    u, times = _time_grid(h, U, size)
+    u, times = _time_grid(R, h, U, size)
     dt = _gaps(times)
     z = rng.standard_normal(times.shape + (p,))  # drawn chain-major
     # Slot-major (R+1, ..., p) path: one in-place slice add per slot (np.cumsum along axis 0 is slower).
@@ -286,7 +288,7 @@ def kinetic_covariance(R: int, gamma: float, h: float, U: np.ndarray) -> np.ndar
     """
     if gamma <= 0 or h <= 0:
         raise DomainError("gamma and h must be positive")
-    u, taus = _time_grid(h, U)  # taus: (..., R+1)
+    u, taus = _time_grid(R, h, U)  # taus: (..., R+1)
     batch = u.shape[:-1]
 
     lo = np.minimum(taus[..., :, None], taus[..., None, :])
@@ -332,7 +334,7 @@ def draw_kinetic_noise(
     xi_r = sqrt(2) D(h U_r), xi = sqrt(2) D(h), xi_bar = sqrt(2) Y(h).
     Coordinates are independent; chain c takes its own block of normals.
     """
-    u, times = _time_grid(h, U, size)
+    u, times = _time_grid(R, h, U, size)
     # Slot-major (R+1, p, ...) walk: each broadcast is one pass over the chains, not C passes of p.
     x = _slot_view(gamma * _gaps(times))[:, None]             # (R+1, 1, ...)
     var_y, cov = _em1(2.0 * x) / (2.0 * gamma), _g3(x) / gamma

@@ -52,7 +52,7 @@ import csv
 import io
 import json
 import warnings as _warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
 
 import numpy as np
@@ -66,8 +66,9 @@ from .tuning import check_preconditions
 VANILLA_KINDS = ("lmc", "rlmc", "prlmc")
 KINETIC_KINDS = ("rklmc", "prklmc")
 KINDS = VANILLA_KINDS + KINETIC_KINDS
+_PINNED_RQ = {"lmc": (1, 1), "rlmc": (1, 2), "rklmc": (1, 2)}  # the sequential baselines
 
-# Abort threshold: ||theta|| > this multiple of (1 + ||theta_0||) diverges.
+# Divergence: an iterate norm not <= this multiple of (1 + ||theta_0||), NaN included.
 DIVERGENCE_FACTOR = 1e8
 
 
@@ -107,17 +108,10 @@ class SamplerConfig:
         self.n = int(self.n)
 
     def to_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "n": self.n,
-            "R": self.R,
-            "Q": self.Q,
-            "gamma": self.gamma,
-            "seed": self.seed,
-            "parallel_width": self.parallel_width,
-            "theta0": None if self.theta0 is None else np.asarray(self.theta0).tolist(),
-            "v0": None if self.v0 is None else np.asarray(self.v0).tolist(),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for key in ("theta0", "v0"):
+            out[key] = None if out[key] is None else np.asarray(out[key]).tolist()
+        return out
 
 
 @dataclass
@@ -130,12 +124,20 @@ class ChainState:
 
 
 def effective_rq(kind: str, config: SamplerConfig) -> tuple[int, int]:
-    """(R, Q) actually used by a kind; the sequential baselines pin R=1."""
-    if kind == "lmc":
-        return 1, 1
-    if kind in ("rlmc", "rklmc"):
-        return 1, 2
-    return config.R, config.Q
+    """(R, Q) actually used by a kind; the sequential baselines pin R=1.  Rejects an unknown kind."""
+    if kind not in KINDS:
+        raise ConfigurationError(f"unknown sampler kind {kind!r}; choose from {KINDS}")
+    return _PINNED_RQ.get(kind, (config.R, config.Q))
+
+
+def _preconditions(kind: str, config: SamplerConfig, spec):
+    """Regime, config at the effective (R, Q), and its stability checks; `run` and ``parlmc check`` share it."""
+    R, Q = effective_rq(kind, config)
+    regime = "kinetic" if kind in KINETIC_KINDS else "vanilla"
+    if regime == "kinetic" and config.gamma is None:
+        raise ConfigurationError(f"{kind} requires a friction coefficient gamma")
+    effective = replace(config, R=R, Q=Q)
+    return regime, effective, check_preconditions(effective, spec, regime)
 
 
 def _draw(kind, config, k, R, theta):
@@ -211,15 +213,7 @@ def step(kind: str, state: ChainState, config: SamplerConfig, potential: Potenti
     else:
         new_theta = theta - (h / R) * _slot_sum(grads) + xi
         v = None
-    _raise_if_nonfinite(new_theta, state.iteration)
     return ChainState(theta=new_theta, iteration=state.iteration + 1, v=v)
-
-
-def _raise_if_nonfinite(theta, iteration):
-    if not np.all(np.isfinite(theta)):
-        raise DivergenceError(
-            f"non-finite iterate at iteration {iteration}", iteration=iteration, norm=float("inf")
-        )
 
 
 @dataclass
@@ -260,24 +254,8 @@ class RunTrace:
         return out.getvalue()
 
     def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "config": self.config,
-            "n_chains": self.n_chains,
-            "rows": self.rows,
-            "counters": self.counters,
-            "elapsed_seconds": self.elapsed_seconds,
-            "warnings": self.warnings,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "final_state"}
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    def write(self, json_path=None, csv_path=None):
-        if json_path is not None:
-            with open(json_path, "w") as fh:
-                fh.write(self.to_json())
-        if csv_path is not None:
-            with open(csv_path, "w", newline="") as fh:
-                fh.write(self.to_csv())
 
 
 def _initial_theta(config, potential, n_chains):
@@ -324,13 +302,12 @@ def run(
     """Run n outer iterations, recording snapshots every `record_every` steps.
 
     `metric_fn(iteration, state) -> dict` contributes extra row columns.
-    Counters reset at run start.  A non-finite or runaway iterate aborts with
-    a DivergenceError carrying the partial trace.
+    Counters reset at run start.  An iterate with a chain norm not <=
+    DIVERGENCE_FACTOR (1 + ||theta_0||), NaN included, raises a DivergenceError
+    with its iteration, the lowest such chain's norm (inf if non-finite) and
+    the partial trace, whose final_state is the last accepted state.
     """
-    if kind not in KINDS:
-        raise ConfigurationError(f"unknown sampler kind {kind!r}; choose from {KINDS}")
-    if kind in KINETIC_KINDS and config.gamma is None:
-        raise ConfigurationError(f"{kind} requires a friction coefficient gamma")
+    _, _, checks = _preconditions(kind, config, potential.spec)
     if n_chains < 1:
         raise ConfigurationError("n_chains must be >= 1")
     if record_every is None:
@@ -338,9 +315,6 @@ def run(
     if record_every < 1:
         raise ConfigurationError("record_every must be >= 1")
 
-    regime = "vanilla" if kind in VANILLA_KINDS else "kinetic"
-    eff_r, eff_q = effective_rq(kind, config)
-    checks = check_preconditions(replace(config, R=eff_r, Q=eff_q), potential.spec, regime)
     trace_warnings = []
     for check in checks:
         if not check.passed:
@@ -377,14 +351,18 @@ def run(
     record(state)
     try:
         for _ in range(config.n):
-            state = step(kind, state, config, potential)
-            norm = float(np.sqrt(np.sum(state.theta**2, axis=-1)).max())
-            if norm > threshold:
+            new = step(kind, state, config, potential)
+            norms = np.atleast_1d(np.sqrt(np.sum(new.theta**2, axis=-1)))
+            if not norms.max() <= threshold:  # true for NaN too
+                chain = int(np.argmin(norms <= threshold))  # the first False: the lowest offender
+                norm = float(norms[chain]) if np.isfinite(norms[chain]) else float("inf")
                 raise DivergenceError(
-                    f"iterate norm {norm:.3e} exceeded {threshold:.3e} at iteration {state.iteration}",
-                    iteration=state.iteration,
+                    f"chain {chain}: iterate norm {norm:.3e} exceeded {threshold:.3e} "
+                    f"at iteration {new.iteration}",
+                    iteration=new.iteration,
                     norm=norm,
                 )
+            state = new
             if state.iteration % record_every == 0 or state.iteration == config.n:
                 record(state)
     except DivergenceError as exc:

@@ -21,7 +21,7 @@ with implied constant 1, not a guarantee.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigurationError
 from .potentials import PotentialSpec
@@ -76,18 +76,7 @@ class TunePlan:
     preconditions: list["ConditionCheck"] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "R": self.R,
-            "Q": self.Q,
-            "h": self.h,
-            "n": self.n,
-            "gamma": self.gamma,
-            "sequential_rounds": self.sequential_rounds,
-            "total_gradient_evals": self.total_gradient_evals,
-            "warnings": list(self.warnings),
-            "preconditions": [c.to_dict() for c in self.preconditions],
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -101,13 +90,7 @@ class ConditionCheck:
     margin: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "margin": self.margin,
-        }
+        return asdict(self)
 
 
 def vanilla_stability_lhs(hbar: float, Q: int, R: int, kappa: float) -> float:

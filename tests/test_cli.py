@@ -1,12 +1,14 @@
 """CLI surface: schemas, exit codes, trace files, reproducibility, pipelines."""
 
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from parlmc.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
+from parlmc import SamplerConfig, run
+from parlmc.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_potential, main
 from parlmc.metrics import theorem2_bound
 
 
@@ -248,3 +250,61 @@ class TestCheck:
         assert report["regime"] == "kinetic"
         assert {c["name"] for c in report["checks"]} == {"friction_lower_bound", "kinetic_stability"}
         assert report["all_passed"]
+
+    def test_report_is_the_run_preconditions(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, sampler="rlmc", h=0.1, R=6, Q=4)
+        assert main(["check", "--config", str(cfg)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert (report["effective_R"], report["effective_Q"]) == (1, 2)
+        failing = {c["name"] for c in report["checks"] if not c["passed"]}
+        config = SamplerConfig(h=0.1, n=0, R=6, Q=4)
+        trace = run("rlmc", config, build_potential(json.loads(cfg.read_text())["potential"]))
+        assert failing and failing == {w.split()[0] for w in trace.warnings}
+
+    def test_kinetic_without_gamma_is_the_run_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, sampler="rklmc")
+        assert main(["check", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "rklmc requires a friction coefficient gamma" in capsys.readouterr().err
+
+
+_TUNE = {"regime": "vanilla", "epsilon": 0.5, "m": 1.0, "M": 4.0, "p": 2}
+_QUAD = {"kind": "quadratic", "precision_diag": [1.0, 2.0]}
+
+
+class TestStrictObjects:
+    """Config, potential and tune request: one object check, then unknown keys, then required keys."""
+
+    @pytest.mark.parametrize("body, message", [
+        ([1], "config must be a JSON object"),
+        ({"typo": 1}, "unknown config keys: ['typo']"),
+        ({"potential": _QUAD, "sampler": "lmc", "h": 0.1}, "config key 'n' is required"),
+        ({"potential": [1], "sampler": "lmc", "h": 0.1, "n": 1}, "potential must be a JSON object"),
+        ({"potential": {**_QUAD, "bogus": 1}, "sampler": "lmc", "h": 0.1, "n": 1},
+         "unknown potential keys: ['bogus']"),
+        ({"potential": {"kind": "logistic_ridge", "ridge": 1.0}, "sampler": "lmc", "h": 0.1, "n": 1},
+         "potential key 'csv_path' is required"),
+    ])
+    def test_config_and_potential(self, tmp_path, capsys, body, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        assert main(["check", "--config", str(path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, message", [
+        ([1], "request must be a JSON object"),
+        ({**_TUNE, "zz": 1}, "unknown request keys: ['zz']"),
+        ({k: v for k, v in _TUNE.items() if k != "p"}, "request key 'p' is required"),
+    ])
+    def test_tune_request_on_stdin(self, monkeypatch, capsys, body, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(body)))
+        assert main(["tune", "--request", "-"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_stdin_request_reads_like_a_file(self, tmp_path, monkeypatch, capsys):
+        request = tmp_path / "req.json"
+        request.write_text(json.dumps(_TUNE))
+        assert main(["tune", "--request", str(request)]) == EXIT_OK
+        from_file = capsys.readouterr().out
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_TUNE)))
+        assert main(["tune", "--request", "-"]) == EXIT_OK
+        assert capsys.readouterr().out == from_file

@@ -329,6 +329,18 @@ def test_ensemble_xi_mid_is_slot_major(kinetic):
     assert np.array_equal(whole.xi_mid[:, 0], single.xi_mid)
 
 
+@pytest.mark.parametrize("R", [3, 5])
+def test_draws_reject_midpoints_of_another_width(R):
+    # U holds 4 midpoints per chain; R = 3 once skewed xi_full's variance and R = 5 raised IndexError.
+    U = draw_midpoints(4, stream(17, 0, ROLE_MIDPOINTS), size=6)
+    with pytest.raises(ConfigurationError, match=f"R = {R}"):
+        draw_vanilla_noise(R, 0.1, 1, U, stream(17, 0, ROLE_PATH))
+    with pytest.raises(ConfigurationError, match=f"R = {R}"):
+        draw_kinetic_noise(R, 2.0, 0.1, 1, U, stream(17, 0, ROLE_PATH))
+    with pytest.raises(ConfigurationError, match=f"R = {R}"):
+        kinetic_covariance(R, 2.0, 0.1, U[0])
+
+
 def test_streams_differ_across_keys():
     base = stream(21, 0, ROLE_PATH).standard_normal(4)
     assert not np.array_equal(base, stream(21, 1, ROLE_PATH).standard_normal(4))

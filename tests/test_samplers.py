@@ -498,6 +498,51 @@ class TestRunDriver:
         assert err.value.iteration is not None
         assert err.value.norm > 1e8
 
+    def test_nonfinite_iterate_is_rejected_at_its_own_iteration(self):
+        class NaNAfter(QuadraticPotential):
+            """Gives chain 1 a NaN gradient from oracle call `k` on."""
+
+            def __init__(self, k):
+                super().__init__(np.diag([1.0, 3.0]))
+                self.calls, self.k = 0, k
+
+            def _gradient(self, theta):
+                g = super()._gradient(theta)
+                self.calls += 1
+                if self.calls > self.k:
+                    g[1] = np.nan
+                return g
+
+        cfg = SamplerConfig(h=0.01, n=20, seed=80)
+        with pytest.raises(DivergenceError) as err:
+            _silent_run("lmc", cfg, NaNAfter(5), n_chains=3, record_every=1)
+        final = err.value.trace.final_state
+        assert err.value.iteration == 6
+        assert final.iteration == err.value.iteration - 1
+        assert np.all(np.isfinite(final.theta))
+        assert err.value.norm == np.inf
+        assert "chain 1:" in str(err.value)
+        assert err.value.trace.rows[-1]["iteration"] == final.iteration
+
+    def test_runaway_iterate_is_rejected_at_its_own_iteration(self):
+        cfg = SamplerConfig(h=10.0, n=50, seed=81, theta0=np.array([1.0, 1.0]))
+        pot = _quad([1.0, 10.0])
+        with pytest.raises(DivergenceError) as err:
+            _silent_run("lmc", cfg, pot, n_chains=3)
+        final = err.value.trace.final_state
+        assert final.iteration == err.value.iteration - 1
+        threshold = 1e8 * (1.0 + np.sqrt(2.0))
+        assert np.sqrt(np.sum(final.theta**2, axis=-1)).max() <= threshold
+        # The rejected iterate, replayed from the kept state: its lowest chain over the threshold is named.
+        norms = np.sqrt(np.sum(step("lmc", final, cfg, pot).theta ** 2, axis=-1))
+        chain = int(np.flatnonzero(norms > threshold)[0])
+        assert f"chain {chain}:" in str(err.value)
+        assert err.value.norm == norms[chain] and np.isfinite(err.value.norm)
+
+    def test_step_rejects_an_unknown_kind(self, quad_2d):
+        with pytest.raises(ConfigurationError, match="mala"):
+            step("mala", ChainState(theta=np.zeros(2)), SamplerConfig(h=0.01, n=1), quad_2d)
+
     def test_kinetic_requires_gamma(self, quad_2d):
         with pytest.raises(ConfigurationError):
             run("prklmc", SamplerConfig(h=0.01, n=1), quad_2d)

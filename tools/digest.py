@@ -12,7 +12,7 @@ older checkout, so two versions can be digested by the same script.
 
 The second form prints, per run, whether the two files agree bitwise and the
 largest relative difference of theta and v (max |a - b| / max |a|), then a
-count of the runs that differ.
+count of the runs that differ; it exits 1 if any run differs, else 0.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"), help="compare two digest files")
     args = parser.parse_args(argv)
     if args.compare:
-        compare(*args.compare)
-    elif args.out:
+        return 1 if compare(*args.compare) else 0
+    if args.out:
         digest(args.out, args.src)
     else:
         parser.error("give OUT.npz or --compare A B")
