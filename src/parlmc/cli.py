@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ _POTENTIAL_KEYS = {
     "logistic_ridge": ({"kind", "csv_path", "ridge"}, ("csv_path", "ridge")),
     "synthetic_delay": ({"kind", "dimension", "delay_seconds"}, ("dimension", "delay_seconds")),
 }
+_floats = partial(np.asarray, dtype=float)
 _EXPERIMENT_KEYS = {
     "potential",
     "sampler",
@@ -72,6 +74,17 @@ def _strict_object(raw, what: str, allowed=None, required=()) -> dict:
     return raw
 
 
+def _field(raw: dict, key: str, convert=float, default=None):
+    """raw[key] (or `default` when absent) through `convert`; None stays None, a bad value names its key."""
+    value = raw.get(key, default)
+    if value is None:
+        return None
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"key {key!r} has an invalid value {value!r} ({exc})") from None
+
+
 def _read_json(path: str, what: str):
     """The JSON value in file `path`, or on stdin for '-'."""
     try:
@@ -94,13 +107,13 @@ def build_potential(spec: dict):
             ("precision" in spec) != ("precision_diag" in spec),
             "quadratic potential needs exactly one of precision / precision_diag",
         )
-        mean = spec.get("mean")
+        mean = _field(spec, "mean", _floats)
         if "precision_diag" in spec:
-            return QuadraticPotential.from_diagonal(spec["precision_diag"], mean)
-        return QuadraticPotential(np.asarray(spec["precision"], dtype=float), mean)
+            return QuadraticPotential.from_diagonal(_field(spec, "precision_diag", _floats), mean)
+        return QuadraticPotential(_field(spec, "precision", _floats), mean)
     if kind == "logistic_ridge":
-        return LogisticRidgePotential.from_csv(spec["csv_path"], float(spec["ridge"]))
-    return SyntheticDelayPotential(int(spec["dimension"]), float(spec["delay_seconds"]))
+        return LogisticRidgePotential.from_csv(spec["csv_path"], _field(spec, "ridge"))
+    return SyntheticDelayPotential(_field(spec, "dimension", int), _field(spec, "delay_seconds"))
 
 
 def load_experiment(path: str) -> dict:
@@ -112,19 +125,15 @@ def load_experiment(path: str) -> dict:
 
 def _sampler_config(raw: dict, seed_override=None, width_override=None) -> SamplerConfig:
     return SamplerConfig(
-        h=float(raw["h"]),
-        n=int(raw["n"]),
-        R=int(raw.get("R", 1)),
-        Q=int(raw.get("Q", 1)),
-        gamma=None if raw.get("gamma") is None else float(raw["gamma"]),
-        seed=int(seed_override if seed_override is not None else raw.get("seed", 0)),
-        parallel_width=(
-            int(width_override)
-            if width_override is not None
-            else (None if raw.get("parallel_width") is None else int(raw["parallel_width"]))
-        ),
-        theta0=None if raw.get("theta0") is None else np.asarray(raw["theta0"], dtype=float),
-        v0=None if raw.get("v0") is None else np.asarray(raw["v0"], dtype=float),
+        h=_field(raw, "h"),
+        n=_field(raw, "n", int),
+        R=_field(raw, "R", int, 1),
+        Q=_field(raw, "Q", int, 1),
+        gamma=_field(raw, "gamma"),
+        seed=seed_override if seed_override is not None else _field(raw, "seed", int, 0),
+        parallel_width=width_override if width_override is not None else _field(raw, "parallel_width", int),
+        theta0=_field(raw, "theta0", _floats),
+        v0=_field(raw, "v0", _floats),
     )
 
 
@@ -188,7 +197,7 @@ def _drift_metric(n_chains, dimension):
 
 def _default_w2_init(raw, potential, start):
     if raw.get("w2_init") is not None:
-        return float(raw["w2_init"])
+        return _field(raw, "w2_init")
     if isinstance(potential, QuadraticPotential):
         point = GaussianSummary(mean=start, covariance=np.zeros((potential.spec.dimension,) * 2))
         target = GaussianSummary(mean=potential.mean, covariance=potential.target_covariance())
@@ -201,8 +210,8 @@ def cmd_sample(args) -> int:
     potential = build_potential(raw["potential"])
     config = _sampler_config(raw, args.seed, args.parallel_width)
     kind = raw["sampler"]
-    n_chains = int(raw.get("chains", 1))
-    record_every = raw.get("record_every")
+    n_chains = _field(raw, "chains", int, 1)
+    record_every = _field(raw, "record_every", int)
     start = np.atleast_2d(_initial_theta(config, potential, n_chains))[0]  # chain 0's start, as run sets it
     w2_init = _default_w2_init(raw, potential, start)
     if isinstance(potential, QuadraticPotential):
@@ -241,13 +250,13 @@ def cmd_tune(args) -> int:
     required = ("regime", "epsilon", "m", "M", "p")
     raw = _strict_object(_read_json(args.request, "request"), "request", {*required, "w2_init", "R"}, required)
     req = TuneRequest(
-        epsilon=float(raw["epsilon"]),
-        m=float(raw["m"]),
-        M=float(raw["M"]),
-        p=int(raw["p"]),
+        epsilon=_field(raw, "epsilon"),
+        m=_field(raw, "m"),
+        M=_field(raw, "M"),
+        p=_field(raw, "p", int),
         regime=raw["regime"],
-        w2_init=None if raw.get("w2_init") is None else float(raw["w2_init"]),
-        R=None if raw.get("R") is None else int(raw["R"]),
+        w2_init=_field(raw, "w2_init"),
+        R=_field(raw, "R", int),
     )
     plan = tune(req)
     payload = plan.to_dict()

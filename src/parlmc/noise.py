@@ -25,7 +25,7 @@ midpoints U and the normals are drawn chain-major, so a chain's draw does not
 depend on the ensemble size; ``_slot_view`` turns them into slot views.
 
 The refinement weights ``coeff_a_vanilla``/``coeff_b_kinetic`` are the scalar
-references.  The engine applies them through ``_drift_walk``, an O(R) walk
+references.  The engine applies them through ``_drift_walker``, an O(R) walk
 over the slot-major gradients that carries prefix sums of the earlier slots:
 every full cell j < r weighs the same for every chain, and a chain enters only
 through its own partial cell.  The kinetic walk is the drift twin of the
@@ -191,7 +191,14 @@ def _slot_view(a: np.ndarray, *axes: int) -> np.ndarray:
 
 
 def _drift_walk(grads, h: float, U, gamma: float | None = None, out=None) -> np.ndarray:
-    """Refinement drift of every slot from slot-major (R, ..., p) gradients, in O(R) slot passes.
+    """Refinement drift of every slot from slot-major (R, ..., p) gradients; see `_drift_walker`."""
+    return _drift_walker(grads.shape[0], h, U, gamma)(grads, out)
+
+
+def _drift_walker(R: int, h: float, U, gamma: float | None = None):
+    """walk(grads, out=None): every slot's refinement drift from slot-major (R, ..., p) gradients.
+
+    The weights depend on U, h, gamma and R alone, so one walker serves all of a step's rounds; a walk is O(R).
 
     Slot r's state is theta_r = base_r - drift_r + xi_r with drift_r the
     weighted sum of g_1..g_r, each weight a function of U (..., R) alone.  The
@@ -207,30 +214,34 @@ def _drift_walk(grads, h: float, U, gamma: float | None = None, out=None) -> np.
     No term is a cancelling difference.  Every operation is elementwise over
     chains, so the bits do not depend on how an ensemble is split.
     """
-    R = grads.shape[0]
-    out = np.empty(grads.shape) if out is None else out
     cell = h * _slot_view(np.asarray(U, dtype=float) - np.arange(R) / R)[..., None]  # (R, ..., 1)
-    out[0] = 0.0
-    for r in range(1, R):
-        np.add(out[r - 1], grads[r - 1], out=out[r])                    # A_r
     if gamma is None:
-        out *= h / R
-        own = cell
+        scale, own = h / R, cell
     else:
         x = gamma * h / R
         em1x, decay = _em1(x), np.exp(-x)
-        out *= _g1(x) / gamma
+        scale = _g1(x) / gamma
         gain = _em1(gamma * cell) * (em1x / gamma)
         own = _g1(gamma * cell) / gamma
-        B, E, scratch = (np.zeros(grads.shape[1:]) for _ in range(3))
+
+    def walk(grads, out=None):
+        out = np.empty(grads.shape) if out is None else out
+        out[0] = 0.0
         for r in range(1, R):
-            E += np.multiply(em1x, B, out=scratch)                      # E_r, from B_{r-1}
-            B *= decay
-            B += grads[r - 1]                                            # B_r
-            out[r] += np.multiply(em1x / gamma, E, out=scratch)
-            out[r] += np.multiply(gain[r], B, out=scratch)
-    out += own * grads
-    return out
+            np.add(out[r - 1], grads[r - 1], out=out[r])                # A_r
+        out *= scale
+        if gamma is not None:
+            B, E, scratch = (np.zeros(grads.shape[1:]) for _ in range(3))
+            for r in range(1, R):
+                E += np.multiply(em1x, B, out=scratch)                  # E_r, from B_{r-1}
+                B *= decay
+                B += grads[r - 1]                                        # B_r
+                out[r] += np.multiply(em1x / gamma, E, out=scratch)
+                out[r] += np.multiply(gain[r], B, out=scratch)
+        out += own * grads
+        return out
+
+    return walk
 
 
 def _time_grid(R: int, h: float, U, size: int | None = None) -> tuple[np.ndarray, np.ndarray]:

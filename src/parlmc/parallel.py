@@ -11,7 +11,8 @@ once.  The round is split into k = min(width, cap, R) contiguous blocks of
 slots: block 0 runs on the calling thread and blocks 1..k-1 on the shared
 pool, so at most k <= width gradients are in flight.  Each gradient is
 written to its slot by index, never by completion order, so trajectories are
-bitwise independent of scheduling.
+bitwise independent of scheduling.  Oracles are pure, so a round whose slots
+are one memory (a broadcast theta) is one evaluation on the calling thread.
 
 Rounds share one thread pool, grown only when a round needs more workers;
 the ``PARLMC_WORKERS`` environment variable (the cap) limits the threads a
@@ -88,8 +89,10 @@ def execute_round(points: np.ndarray, potential, width: int | None = None) -> np
     Each slot is then one `potential._gradient` call on points[r].  A worker
     budget `width` (None means R) bounds the gradients in flight: the round
     runs as min(width, cap, R) contiguous blocks, the first on the calling
-    thread.  Updates the potential's counter: +R evaluations and
-    +ceil(R / width) sequential rounds.
+    thread.  A round whose slots are one memory (``points.strides[0] == 0``) is
+    validated and evaluated once, on the caller, and returns a read-only
+    ``np.broadcast_to`` of that gradient.  The counter gains the nominal +R
+    evaluations and +ceil(R / width) sequential rounds either way.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim < 2 or points.shape[0] == 0:
@@ -99,21 +102,23 @@ def execute_round(points: np.ndarray, potential, width: int | None = None) -> np
     if width < 1:
         raise ConfigurationError(f"parallel width must be >= 1, got {width}")
 
+    slots = points[:1] if points.strides[0] == 0 else points  # a pure oracle needs one call per distinct point
+    n = len(slots)
     try:
-        potential._validate(points)
+        potential._validate(slots)
     except (ConfigurationError, DomainError) as exc:
         # The lowest slot with a non-finite point; a shape error concerns every slot and names slot 0.
-        _fail(int(np.argmax(~np.isfinite(points).reshape(R, -1).all(axis=1))), exc)
-    grads = np.empty(points.shape)
+        _fail(int(np.argmax(~np.isfinite(slots).reshape(n, -1).all(axis=1))), exc)
+    grads = np.empty(slots.shape)
     cap = worker_limit()
-    k = min(width, cap or width, R)
-    blocks = [range(R * b // k, R * (b + 1) // k) for b in range(k)]
-    futures = _submit_blocks(potential._gradient, points, grads, blocks[1:], cap)
-    failures = [_run_block(potential._gradient, points, grads, blocks[0])]
+    k = min(width, cap or width, n)
+    blocks = [range(n * b // k, n * (b + 1) // k) for b in range(k)]
+    futures = _submit_blocks(potential._gradient, slots, grads, blocks[1:], cap)
+    failures = [_run_block(potential._gradient, slots, grads, blocks[0])]
     failures += [f.result() for f in futures]
     failed = [f for f in failures if f is not None]
     if failed:
         _fail(*min(failed, key=lambda f: f[0]))
     potential.counter.add_evals(R)
     potential.counter.add_rounds(math.ceil(R / width))
-    return grads
+    return grads if slots is points else np.broadcast_to(grads[0], points.shape)

@@ -10,6 +10,10 @@ whatever the batch shape of its argument.  An ensemble of chains advancing in
 lockstep therefore reports per-chain algorithmic cost (the quantity the
 round/evaluation accounting identities are stated for), not cost multiplied
 by ensemble size.
+
+Purity is a contract: identical points give identical gradients, so a step's
+round 0 (theta in all R slots) is one physical ``_gradient`` call.  The count
+``gradient_evals`` stays the nominal n Q R; physical calls are n ((Q-1) R + 1).
 """
 
 from __future__ import annotations
@@ -155,14 +159,16 @@ class QuadraticPotential(Potential):
         return np.linalg.inv(self.precision)
 
 
-def _sigmoid_neg(u):
-    """sigma(-u) = 1 / (1 + e^u), overflow-safe: e^{-|u|} is all it exponentiates; in place, as temporaries page-fault."""
-    e = np.abs(u)
+def _sigmoid_neg(u, e=None, mask=None):
+    """sigma(-u) = 1 / (1 + e^u) written over u, overflow-safe via e^{-|u|}; scratch `e`, `mask` saves page faults."""
+    mask = np.greater_equal(u, 0, out=mask)
+    e = np.abs(u, out=e)
     np.exp(np.negative(e, out=e), out=e)
-    w = np.where(u >= 0, e, 1.0)
+    u.fill(1.0)
+    np.copyto(u, e, where=mask)
     e += 1.0
-    w /= e
-    return w
+    u /= e
+    return u
 
 
 class LogisticRidgePotential(Potential):
@@ -192,16 +198,22 @@ class LogisticRidgePotential(Potential):
         self.X = X
         self.y = y
         self.ridge = float(ridge)
+        self._scratch = threading.local()  # per-thread (..., N) buffers of _gradient: two float, one bool
         minimizer = self._solve_minimizer(p, m, M)
         super().__init__(PotentialSpec(p, m, M, minimizer=minimizer))
 
-    def _margins(self, theta):
-        u = theta @ self.X.T  # (..., N)
+    def _margins(self, theta, out=None):
+        u = np.matmul(theta, self.X.T, out=out)  # (..., N)
         u *= self.y
         return u
 
     def _gradient(self, theta):
-        w = _sigmoid_neg(self._margins(theta))
+        shape = theta.shape[:-1] + self.y.shape  # reallocated only when the (..., N) shape changes
+        scratch = self._scratch
+        if getattr(scratch, "shape", None) != shape:
+            scratch.shape, scratch.bufs = shape, (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+        u, e, mask = scratch.bufs
+        w = _sigmoid_neg(self._margins(theta, out=u), e, mask)
         w *= -self.y  # labels are +-1, so this is -(w * y) exactly
         return w @ self.X + self.ridge * theta
 

@@ -32,7 +32,7 @@ final update evaluates the fresh round-(Q-1) states.
 A round is one slot-major (R, ..., p) array, the shape of ``xi_mid``: slot r
 at [r] is one contiguous (..., p) block like theta, and ``execute_round``
 returns its gradients in the same shape.  The prefix combine is
-``noise._drift_walk``, an O(R) walk over the slots that carries prefix sums
+``noise._drift_walker``, an O(R) walk over the slots that carries prefix sums
 of the earlier slots' gradients, plus a per-chain own-cell term; no (R, R)
 weight array is built.  The final slot sums add one slot at a time.  Every
 step of both is elementwise over chains, so the bits do not depend on the
@@ -156,9 +156,9 @@ def _draw(kind, config, k, R, theta):
 def _refine(kind, theta, v, R, Q, noise, config, potential):
     """(R, ..., p) gradients of the last round's points, after Q - 1 refinement rounds.
 
-    The first round evaluates R copies of theta, broadcast without a copy;
-    each refinement round sets the points to base - drift + xi_mid, with the
-    regime's base and the drift of `noise._drift_walk`.
+    The first round is theta broadcast to every slot, one oracle call; each
+    refinement round sets the points to base - drift + xi_mid, with the
+    regime's base and the drift of the step's one `noise._drift_walker`.
     """
     width = config.parallel_width
     shape = (R,) + theta.shape
@@ -171,9 +171,10 @@ def _refine(kind, theta, v, R, Q, noise, config, potential):
             a = noise_mod._em1(gamma * h * noise.U) / gamma              # (..., R) velocity weight
             base = noise_mod._slot_view(a)[..., None] * v
             base += theta  # in place: a fresh broadcast sum is several times slower
+        walk = noise_mod._drift_walker(R, h, noise.U, gamma)
         points = np.empty(shape)
     for _ in range(1, Q):
-        noise_mod._drift_walk(grads, h, noise.U, gamma, out=points)
+        walk(grads, out=points)
         np.subtract(base, points, out=points)
         points += noise.xi_mid
         grads = execute_round(points, potential, width)

@@ -308,3 +308,31 @@ class TestStrictObjects:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_TUNE)))
         assert main(["tune", "--request", "-"]) == EXIT_OK
         assert capsys.readouterr().out == from_file
+
+
+class TestMistypedValues:
+    """A config or request value that does not convert is a configuration error naming its key, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["sample", "check"])
+    @pytest.mark.parametrize("overrides, key", [
+        ({"h": "fast"}, "'h'"),
+        ({"n": "ten"}, "'n'"),
+        ({"Q": [2]}, "'Q'"),
+        ({"theta0": ["a", 1.0]}, "'theta0'"),
+        ({"potential": {**_QUAD, "precision_diag": "abc"}}, "'precision_diag'"),
+        ({"potential": {"kind": "synthetic_delay", "dimension": "two", "delay_seconds": 0.0}}, "'dimension'"),
+    ])
+    def test_config(self, tmp_path, capsys, command, overrides, key):
+        cfg = _write_config(tmp_path, **overrides)
+        out = ["--out-dir", str(tmp_path)] if command == "sample" else []
+        assert main([command, "--config", str(cfg), *out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"key {key} has an invalid value" in err
+        assert not list(tmp_path.glob("trace*"))
+
+    @pytest.mark.parametrize("overrides, key", [({"epsilon": "small"}, "'epsilon'"), ({"R": "wide"}, "'R'")])
+    def test_tune_request(self, tmp_path, capsys, overrides, key):
+        request = tmp_path / "req.json"
+        request.write_text(json.dumps({**_TUNE, **overrides}))
+        assert main(["tune", "--request", str(request)]) == EXIT_CONFIG
+        assert f"key {key} has an invalid value" in capsys.readouterr().err

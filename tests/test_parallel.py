@@ -1,5 +1,6 @@
 """Round execution: ordered results, ceil accounting, the width budget and the shared pool."""
 
+import math
 import sys
 import threading
 import time
@@ -9,6 +10,7 @@ import pytest
 
 from parlmc import (
     ConfigurationError,
+    QuadraticPotential,
     RoundExecutionError,
     SyntheticDelayPotential,
     execute_round,
@@ -201,3 +203,50 @@ class TestExecuteRound:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+
+class RecordingPotential(QuadraticPotential):
+    """A quadratic oracle that records the shape and thread of every physical call."""
+
+    def __init__(self):
+        super().__init__(np.diag([1.0, 10.0]))
+        self.calls = []
+
+    def _gradient(self, theta):
+        self.calls.append((theta.shape, threading.get_ident()))
+        return super()._gradient(theta)
+
+
+class TestBroadcastRound:
+    """A round whose slots are one memory is one point: a pure oracle evaluates it once."""
+
+    @pytest.mark.parametrize("width", [None, 3])
+    @pytest.mark.parametrize("R", [1, 4])
+    def test_one_call_on_the_caller_and_nominal_accounting(self, monkeypatch, R, width):
+        monkeypatch.delenv("PARLMC_WORKERS", raising=False)
+        theta = np.random.default_rng(5).standard_normal((6, 2))
+        pot = RecordingPotential()
+        grads = execute_round(np.broadcast_to(theta, (R, 6, 2)), pot, width)
+        assert pot.calls == [((6, 2), threading.get_ident())]
+        assert pot.counter.snapshot() == {"gradient_evals": R, "sequential_rounds": math.ceil(R / (width or R))}
+        assert grads.shape == (R, 6, 2) and not grads.flags.writeable
+        expected = QuadraticPotential(np.diag([1.0, 10.0]))._gradient(theta)
+        assert all(np.array_equal(g, expected) for g in grads)
+
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_equal_values_in_separate_memory_are_evaluated_per_slot(self, width):
+        theta = np.random.default_rng(6).standard_normal((6, 2))
+        pot = RecordingPotential()
+        grads = execute_round(np.repeat(theta[None], 4, axis=0), pot, width)
+        assert len(pot.calls) == 4
+        assert grads.flags.writeable
+        assert pot.counter.total_gradient_evals == 4
+
+    def test_nonfinite_point_names_slot_0(self):
+        theta = np.zeros((6, 2))
+        theta[3, 1] = np.nan
+        pot = RecordingPotential()
+        with pytest.raises(RoundExecutionError) as err:
+            execute_round(np.broadcast_to(theta, (4, 6, 2)), pot, width=2)
+        assert err.value.index == 0
+        assert pot.calls == []

@@ -1,5 +1,8 @@
 """Potential oracles: gradients, curvature constants, accounting, CSV ingestion."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -177,3 +180,89 @@ def test_delay_potential_sleeps():
     t0 = time.perf_counter()
     pot.gradient(np.ones(2))
     assert time.perf_counter() - t0 >= 0.01
+
+
+def _reference_sigmoid_neg(u):
+    """The logistic weight as first written, on fresh arrays."""
+    e = np.abs(u)
+    np.exp(np.negative(e, out=e), out=e)
+    w = np.where(u >= 0, e, 1.0)
+    e += 1.0
+    w /= e
+    return w
+
+
+def _reference_gradient(pot, theta):
+    u = theta @ pot.X.T
+    u *= pot.y
+    w = _reference_sigmoid_neg(u)
+    w *= -pot.y
+    return w @ pot.X + pot.ridge * theta
+
+
+@pytest.fixture
+def logistic_wide():
+    rng = np.random.default_rng(2402)
+    X = rng.standard_normal((300, 7))
+    y = np.where(rng.random(300) < 0.5, -1.0, 1.0)
+    return LogisticRidgePotential(X, y, ridge=0.4)
+
+
+class TestLogisticScratch:
+    """The logistic oracle's per-thread scratch keeps the bits of the fresh-array formula."""
+
+    def test_bits_across_shape_changes(self, logistic_wide):
+        rng = np.random.default_rng(8)
+        for chains in (7, None, 50, 1, 7, None, 50):
+            theta = 2.0 * rng.standard_normal((7,) if chains is None else (chains, 7))
+            got = logistic_wide._gradient(theta)
+            assert np.array_equal(got, _reference_gradient(logistic_wide, theta))
+            assert got.shape == theta.shape
+
+    def test_returned_gradient_is_not_scratch(self, logistic_wide):
+        theta = np.random.default_rng(9).standard_normal((7, 7))
+        first = logistic_wide.gradient(theta)
+        kept = first.copy()
+        logistic_wide.gradient(-theta)
+        assert np.array_equal(first, kept)
+
+    def test_threads_on_different_chain_counts(self, logistic_wide):
+        rng = np.random.default_rng(10)
+        thetas = {chains: rng.standard_normal((chains, 7)) for chains in (7, 50)}
+        serial = {chains: logistic_wide._gradient(theta) for chains, theta in thetas.items()}
+        errors = []
+
+        def caller(chains):
+            for _ in range(200):
+                if not np.array_equal(logistic_wide._gradient(thetas[chains]), serial[chains]):
+                    errors.append(chains)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(chains,)) for chains in thetas]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_value_and_minimizer_unchanged(self, logistic_wide):
+        pot = logistic_wide
+        theta = np.random.default_rng(11).standard_normal((5, 7))
+        u = theta @ pot.X.T * pot.y
+        value = np.sum(np.logaddexp(0.0, -u), axis=-1) + 0.5 * pot.ridge * np.sum(theta * theta, axis=-1)
+        assert np.array_equal(pot.value(theta), value)
+
+        minimizer = np.zeros(7)  # the construction's Newton solve, on the fresh-array formula
+        for _ in range(100):
+            w = _reference_sigmoid_neg(minimizer @ pot.X.T * pot.y)
+            g = _reference_gradient(pot, minimizer)
+            if np.linalg.norm(g, np.inf) <= 1e-12 * pot.spec.smoothness * (1 + np.linalg.norm(minimizer)):
+                break
+            hess = pot.X.T @ (pot.X * (w * (1 - w))[:, None]) + pot.ridge * np.eye(7)
+            minimizer = minimizer - np.linalg.solve(hess, g)
+        assert np.array_equal(pot.spec.minimizer, minimizer)

@@ -379,7 +379,7 @@ class TestStackedEngine:
         cfg = SamplerConfig(h=0.01, n=3, R=5, Q=3, gamma=20.0 if kind in KINETIC_KINDS else None, seed=64,
                             parallel_width=width)
         _silent_run(kind, cfg, pot, n_chains=chains, record_every=10**9)
-        assert len(pot.contiguous) == cfg.n * cfg.Q * cfg.R
+        assert len(pot.contiguous) == cfg.n * ((cfg.Q - 1) * cfg.R + 1)
         assert all(pot.contiguous)
 
     @pytest.mark.parametrize("kind", ["prlmc", "prklmc"])
