@@ -31,6 +31,10 @@ every full cell j < r weighs the same for every chain, and a chain enters only
 through its own partial cell.  The kinetic walk is the drift twin of the
 (D, Y) noise walk.
 
+Given a step's per-thread workspace ``work`` (see ``samplers``), the draws
+and the walk write into its named buffers: the normals (then the walk's
+scratch), the path or the kinetic y (then xi) and D (then the base).
+
 Streams are counter-based (Philox) and keyed by ``(seed, iteration, role)``,
 so draws are bit-reproducible and independent of thread scheduling.  The
 iteration-k consumption contract used by the samplers is:
@@ -184,18 +188,27 @@ def coeff_b_kinetic(R: int, gamma: float, h: float, U, j: int, r: int) -> float:
     return float(length - np.exp(-gamma * (u_r * h - u2)) * _em1(gamma * length) / gamma)
 
 
+def _take(work: dict | None, name: str, shape: tuple) -> np.ndarray:
+    """Uninitialised float array of `shape`: a cached view on the front of work[name] (grown to fit), or new."""
+    if work is None:
+        return np.empty(shape)
+    view = work.get((name, shape))
+    if view is None:
+        size, buf = int(np.prod(shape)), work.get(name)
+        if buf is None or buf.size < size:
+            raw = np.empty(size + 7)  # cut to start on a 64-byte line: BLAS and the ufunc loops run faster there
+            buf = work[name] = raw[(-raw.ctypes.data % 64) // 8 :][:size]
+        view = work[name, shape] = buf[:size].reshape(shape)
+    return view
+
+
 def _slot_view(a: np.ndarray, *axes: int) -> np.ndarray:
     """View of chain-major `a` with its negative `axes` (default -1) first, in order (np.moveaxis costs ~7 us)."""
     front = tuple(a.ndim + ax for ax in axes or (-1,))
     return a.transpose(front + tuple(i for i in range(a.ndim) if i not in front))
 
 
-def _drift_walk(grads, h: float, U, gamma: float | None = None, out=None) -> np.ndarray:
-    """Refinement drift of every slot from slot-major (R, ..., p) gradients; see `_drift_walker`."""
-    return _drift_walker(grads.shape[0], h, U, gamma)(grads, out)
-
-
-def _drift_walker(R: int, h: float, U, gamma: float | None = None):
+def _drift_walker(R: int, h: float, U, gamma: float | None = None, work: dict | None = None):
     """walk(grads, out=None): every slot's refinement drift from slot-major (R, ..., p) gradients.
 
     The weights depend on U, h, gamma and R alone, so one walker serves all of a step's rounds; a walk is O(R).
@@ -231,14 +244,15 @@ def _drift_walker(R: int, h: float, U, gamma: float | None = None):
             np.add(out[r - 1], grads[r - 1], out=out[r])                # A_r
         out *= scale
         if gamma is not None:
-            B, E, scratch = (np.zeros(grads.shape[1:]) for _ in range(3))
+            B, E, tmp = (_take(work, name, grads.shape[1:]) for name in ("B", "E", "tmp"))
+            B[...] = E[...] = 0.0
             for r in range(1, R):
-                E += np.multiply(em1x, B, out=scratch)                  # E_r, from B_{r-1}
+                E += np.multiply(em1x, B, out=tmp)                      # E_r, from B_{r-1}
                 B *= decay
                 B += grads[r - 1]                                        # B_r
-                out[r] += np.multiply(em1x / gamma, E, out=scratch)
-                out[r] += np.multiply(gain[r], B, out=scratch)
-        out += own * grads
+                out[r] += np.multiply(em1x / gamma, E, out=tmp)
+                out[r] += np.multiply(gain[r], B, out=tmp)
+        out += np.multiply(own, grads, out=_take(work, "z", grads.shape))
         return out
 
     return walk
@@ -269,6 +283,7 @@ def draw_vanilla_noise(
     U: np.ndarray,
     rng: np.random.Generator,
     size: int | None = None,
+    work: dict | None = None,
 ) -> VanillaNoiseDraw:
     """Exact joint draw of (xi_1..xi_R, xi) given the midpoints U.
 
@@ -278,9 +293,10 @@ def draw_vanilla_noise(
     """
     u, times = _time_grid(R, h, U, size)
     dt = _gaps(times)
-    z = rng.standard_normal(times.shape + (p,))  # drawn chain-major
+    z = rng.standard_normal(out=_take(work, "z", times.shape + (p,)))  # drawn chain-major
     # Slot-major (R+1, ..., p) path: one in-place slice add per slot (np.cumsum along axis 0 is slower).
-    path = np.multiply(_slot_view(np.sqrt(dt))[..., None], _slot_view(z, -2), order="C")
+    path = _take(work, "path", (R + 1,) + times.shape[:-1] + (p,))
+    np.multiply(_slot_view(np.sqrt(dt))[..., None], _slot_view(z, -2), out=path)
     for k in range(1, R + 1):
         path[k] += path[k - 1]
     path *= _SQRT2
@@ -335,6 +351,7 @@ def draw_kinetic_noise(
     U: np.ndarray,
     rng: np.random.Generator,
     size: int | None = None,
+    work: dict | None = None,
 ) -> KineticNoiseDraw:
     """Exact joint draw of (xi_1..xi_R, xi, xi_bar) given the midpoints U.
 
@@ -352,15 +369,19 @@ def draw_kinetic_noise(
     # y first, then d given y; var_y is 0 on a gap of length 0 (tied times).
     slope = np.divide(cov, var_y, out=np.zeros_like(cov), where=var_y > 0)
     cond_sd = np.sqrt(np.maximum(_g2(x) / gamma - slope * cov, 0.0))
-    z = _slot_view(rng.standard_normal(times.shape + (2, p)), -3, -2, -1)  # drawn chain-major
-    y = np.multiply(np.sqrt(var_y), z[:, 0], order="C")
-    D = np.multiply(cond_sd, z[:, 1], order="C") + slope * y  # each gap's d, then D in place
-    gain, decay, Y = _em1(x), np.exp(-x), np.zeros(y.shape[1:])
+    z = _slot_view(rng.standard_normal(out=_take(work, "z", times.shape + (2, p))), -3, -2, -1)  # chain-major
+    y = np.multiply(np.sqrt(var_y), z[:, 0], out=_take(work, "y", z[:, 0].shape))
+    D = np.multiply(cond_sd, z[:, 1], out=_take(work, "D", y.shape))  # each gap's d, then D in place
+    gain, decay, Y, tmp = _em1(x), np.exp(-x), _take(work, "B", y.shape[1:]), _take(work, "tmp", y.shape[1:])
+    Y[...] = 0.0
     for k in range(R + 1):
-        D[k] += gain[k] * Y
+        D[k] += np.multiply(slope[k], y[k], out=tmp)
+        D[k] += np.multiply(gain[k], Y, out=tmp)
         D[k] += D[k - 1] if k else 0.0
-        Y = decay[k] * Y + y[k]
+        Y *= decay[k]
+        Y += y[k]
     n = D.ndim
-    D = np.multiply(D.transpose((0, *range(2, n), 1)), _SQRT2, order="C")  # slot-major (R+1, ..., p)
+    xi = y.reshape(D.shape[:1] + D.shape[2:] + D.shape[1:2])  # y is spent: xi takes its memory
+    np.multiply(D.transpose((0, *range(2, n), 1)), _SQRT2, out=xi)  # slot-major (R+1, ..., p)
     xi_bar = np.multiply(Y.transpose((*range(1, n - 1), 0)), _SQRT2, order="C")
-    return KineticNoiseDraw(U=u, xi_mid=D[:R], xi_full=D[R], xi_bar=xi_bar)
+    return KineticNoiseDraw(U=u, xi_mid=xi[:R], xi_full=xi[R], xi_bar=xi_bar)

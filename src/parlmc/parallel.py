@@ -3,7 +3,7 @@
 One *round* evaluates R gradients that may run concurrently; rounds are the
 unit of time complexity.  A round is one slot-major (R, ..., p) array, slot r
 at [r], a contiguous (..., p) block like theta, and its gradients come back
-in the same shape.
+in the same shape, into a caller's array (the step's workspace) if given.
 
 A round is validated once, and each slot is one ``potential._gradient`` call
 on its block; the counter records R evaluations and ceil(R / width) rounds
@@ -82,16 +82,17 @@ def _fail(i: int, exc: Exception):
     raise RoundExecutionError(f"gradient failed at round slot {i}: {exc}", index=i) from exc
 
 
-def execute_round(points: np.ndarray, potential, width: int | None = None) -> np.ndarray:
+def execute_round(points: np.ndarray, potential, width: int | None = None, out=None) -> np.ndarray:
     """Gradients of a slot-major (R, ..., p) round, slot r at [r] as in `points`.
 
     The points are validated once; a failure names the lowest offending slot.
     Each slot is then one `potential._gradient` call on points[r].  A worker
     budget `width` (None means R) bounds the gradients in flight: the round
     runs as min(width, cap, R) contiguous blocks, the first on the calling
-    thread.  A round whose slots are one memory (``points.strides[0] == 0``) is
-    validated and evaluated once, on the caller, and returns a read-only
-    ``np.broadcast_to`` of that gradient.  The counter gains the nominal +R
+    thread, into `out` (floats shaped like `points`) if given, else a new array.
+    A round whose slots are one memory (``points.strides[0] == 0``) is validated
+    and evaluated once, on the caller, and returns a read-only ``np.broadcast_to``
+    of that gradient, ignoring `out`.  The counter gains the nominal +R
     evaluations and +ceil(R / width) sequential rounds either way.
     """
     points = np.asarray(points, dtype=float)
@@ -101,6 +102,8 @@ def execute_round(points: np.ndarray, potential, width: int | None = None) -> np
     width = R if width is None else int(width)
     if width < 1:
         raise ConfigurationError(f"parallel width must be >= 1, got {width}")
+    if out is not None and out.shape != points.shape:
+        raise ConfigurationError(f"out has shape {out.shape}, the round {points.shape}")
 
     slots = points[:1] if points.strides[0] == 0 else points  # a pure oracle needs one call per distinct point
     n = len(slots)
@@ -109,7 +112,7 @@ def execute_round(points: np.ndarray, potential, width: int | None = None) -> np
     except (ConfigurationError, DomainError) as exc:
         # The lowest slot with a non-finite point; a shape error concerns every slot and names slot 0.
         _fail(int(np.argmax(~np.isfinite(slots).reshape(n, -1).all(axis=1))), exc)
-    grads = np.empty(slots.shape)
+    grads = np.empty(slots.shape) if out is None or slots is not points else out
     cap = worker_limit()
     k = min(width, cap or width, n)
     blocks = [range(n * b // k, n * (b + 1) // k) for b in range(k)]

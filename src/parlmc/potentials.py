@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
+from .noise import _take
 
 # Newton tolerance when locating a potential's minimizer numerically.
 _MINIMIZER_GTOL = 1e-12
@@ -143,13 +144,14 @@ class QuadraticPotential(Potential):
         super().__init__(PotentialSpec(p, float(eigs[0]), float(eigs[-1]), minimizer=mu))
         self.precision = 0.5 * (a + a.T)
         self.mean = mu
+        self._scratch = threading.local()  # per thread: the work dict of _gradient's theta - mean
 
     @classmethod
     def from_diagonal(cls, diagonal, mean=None) -> "QuadraticPotential":
         return cls(np.diag(np.asarray(diagonal, dtype=float)), mean)
 
     def _gradient(self, theta):
-        return (theta - self.mean) @ self.precision
+        return np.subtract(theta, self.mean, out=_take(vars(self._scratch), "d", theta.shape)) @ self.precision
 
     def _value(self, theta):
         d = theta - self.mean

@@ -44,6 +44,10 @@ role), so trajectories are bitwise independent of the parallel schedule.
 `step(kind, state, config, potential)` advances one outer iteration at the
 kind's (R, Q) from `effective_rq`; its `noise` override lets tests force zero
 or fixed noise, and the `run` driver never overrides.
+
+A step's (R, ..., p) arrays (normals, path, points, gradients, walk scratch)
+live in a per-thread workspace kept for the last (kind, R, theta shape) only,
+not per run: resumed chains call ``run`` once per block.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import threading
 import warnings as _warnings
 from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
@@ -70,6 +75,8 @@ _PINNED_RQ = {"lmc": (1, 1), "rlmc": (1, 2), "rklmc": (1, 2)}  # the sequential 
 
 # Divergence: an iterate norm not <= this multiple of (1 + ||theta_0||), NaN included.
 DIVERGENCE_FACTOR = 1e8
+
+_workspace = threading.local()  # per thread: {(kind, R, theta shape): its last step's buffers}
 
 
 class PreconditionWarning(UserWarning):
@@ -140,7 +147,7 @@ def _preconditions(kind: str, config: SamplerConfig, spec):
     return regime, effective, check_preconditions(effective, spec, regime)
 
 
-def _draw(kind, config, k, R, theta):
+def _draw(kind, config, k, R, theta, work):
     """Iteration k's noise: lmc's bare xi, else the midpoints and the regime's path draw."""
     if kind == "lmc":
         rng = noise_mod.stream(config.seed, k, noise_mod.ROLE_PATH)
@@ -149,16 +156,17 @@ def _draw(kind, config, k, R, theta):
     u = noise_mod.draw_midpoints(R, noise_mod.stream(config.seed, k, noise_mod.ROLE_MIDPOINTS), size=size)
     rng = noise_mod.stream(config.seed, k, noise_mod.ROLE_PATH)
     if kind in KINETIC_KINDS:
-        return noise_mod.draw_kinetic_noise(R, config.gamma, config.h, theta.shape[-1], u, rng)
-    return noise_mod.draw_vanilla_noise(R, config.h, theta.shape[-1], u, rng)
+        return noise_mod.draw_kinetic_noise(R, config.gamma, config.h, theta.shape[-1], u, rng, work=work)
+    return noise_mod.draw_vanilla_noise(R, config.h, theta.shape[-1], u, rng, work=work)
 
 
-def _refine(kind, theta, v, R, Q, noise, config, potential):
+def _refine(kind, theta, v, R, Q, noise, config, potential, work):
     """(R, ..., p) gradients of the last round's points, after Q - 1 refinement rounds.
 
     The first round is theta broadcast to every slot, one oracle call; each
     refinement round sets the points to base - drift + xi_mid, with the
-    regime's base and the drift of the step's one `noise._drift_walker`.
+    regime's base and the drift of the step's one `noise._drift_walker`,
+    all in the step's `work` buffers.
     """
     width = config.parallel_width
     shape = (R,) + theta.shape
@@ -169,15 +177,15 @@ def _refine(kind, theta, v, R, Q, noise, config, potential):
         base = theta
         if gamma is not None:
             a = noise_mod._em1(gamma * h * noise.U) / gamma              # (..., R) velocity weight
-            base = noise_mod._slot_view(a)[..., None] * v
+            base = np.multiply(noise_mod._slot_view(a)[..., None], v, out=noise_mod._take(work, "D", shape))
             base += theta  # in place: a fresh broadcast sum is several times slower
-        walk = noise_mod._drift_walker(R, h, noise.U, gamma)
-        points = np.empty(shape)
+        walk = noise_mod._drift_walker(R, h, noise.U, gamma, work)
+        points, out = noise_mod._take(work, "points", shape), noise_mod._take(work, "grads", shape)
     for _ in range(1, Q):
         walk(grads, out=points)
         np.subtract(base, points, out=points)
         points += noise.xi_mid
-        grads = execute_round(points, potential, width)
+        grads = execute_round(points, potential, width, out=out)
     return grads
 
 
@@ -196,15 +204,19 @@ def step(kind: str, state: ChainState, config: SamplerConfig, potential: Potenti
     """One outer iteration of `kind` at its effective (R, Q).
 
     `noise` replaces the keyed draw: a VanillaNoiseDraw or KineticNoiseDraw
-    for the kind's regime, or for lmc also the bare xi array.
+    for the kind's regime, or for lmc also the bare xi array.  A step nested in
+    an oracle finds its thread's workspace taken and uses new arrays; the
+    returned state shares no memory with the workspace.
     """
     R, Q = effective_rq(kind, config)
     theta, v, h, gamma = state.theta, state.v, config.h, config.gamma
+    key, held = (kind, R, theta.shape), vars(_workspace)
+    work = held.pop(key, None) or {}  # taken while this step runs
     if noise is None:
-        noise = _draw(kind, config, state.iteration, R, theta)
+        noise = _draw(kind, config, state.iteration, R, theta, work)
     bare = kind == "lmc" and not isinstance(noise, noise_mod.VanillaNoiseDraw)
     xi = np.asarray(noise) if bare else noise.xi_full
-    grads = _refine(kind, theta, v, R, Q, noise, config, potential)
+    grads = _refine(kind, theta, v, R, Q, noise, config, potential, work)
     if kind in KINETIC_KINDS:
         tail = noise_mod._slot_view(gamma * h * (1.0 - noise.U))[..., None]  # (R, ..., 1)
         sum_theta = _slot_sum(grads, (h / R) * noise_mod._em1(tail))
@@ -214,6 +226,8 @@ def step(kind: str, state: ChainState, config: SamplerConfig, potential: Potenti
     else:
         new_theta = theta - (h / R) * _slot_sum(grads) + xi
         v = None
+    held.clear()
+    held[key] = work
     return ChainState(theta=new_theta, iteration=state.iteration + 1, v=v)
 
 

@@ -20,7 +20,7 @@ from parlmc import (
     stream,
 )
 from parlmc.errors import ConfigurationError
-from parlmc.noise import ROLE_MIDPOINTS, ROLE_PATH, _drift_walk
+from parlmc.noise import ROLE_MIDPOINTS, ROLE_PATH, _drift_walker
 
 # Frozen quadrature-oracle values (mpmath, 40 digits).
 B_ORACLE_J1 = 0.19356576966960984  # gamma=1, h=1, R=2, U_2=0.75, j=1
@@ -49,7 +49,7 @@ def _full_weights(R, h, U, gamma=None):
     """
     U = np.asarray(U, dtype=float)
     basis = np.eye(R).reshape((R,) + (1,) * (U.ndim - 1) + (R,))
-    drift = _drift_walk(np.broadcast_to(basis, (R,) + U.shape[:-1] + (R,)), h, U, gamma)
+    drift = _drift_walker(R, h, U, gamma)(np.broadcast_to(basis, (R,) + U.shape[:-1] + (R,)))
     weights = np.moveaxis(drift, 0, -2)
     assert not np.triu(weights, 1).any()
     return weights
@@ -259,8 +259,9 @@ class TestKineticCovariance:
 class _IdentityBasis:
     """Generator stand-in whose normals are an identity basis, one column per variate."""
 
-    def standard_normal(self, shape):
-        return np.eye(shape[-1]).reshape(shape)
+    def standard_normal(self, out):
+        out[...] = np.eye(out.shape[-1]).reshape(out.shape)
+        return out
 
 
 def _kinetic_linear_map(R, gamma, h, U):

@@ -250,3 +250,35 @@ class TestBroadcastRound:
             execute_round(np.broadcast_to(theta, (4, 6, 2)), pot, width=2)
         assert err.value.index == 0
         assert pot.calls == []
+
+
+class TestRoundOut:
+    """execute_round writes a round's gradients into the caller's array."""
+
+    @pytest.mark.parametrize("width", [None, 1, 3])
+    def test_out_is_filled_and_returned(self, width, quad_2d):
+        points = np.random.default_rng(7).standard_normal((5, 4, 2))
+        want = execute_round(points, quad_2d, width)
+        out = np.full(points.shape, np.nan)
+        got = execute_round(points, quad_2d, width, out=out)
+        assert got is out
+        assert np.array_equal(out, want)
+
+    def test_broadcast_round_ignores_out(self, quad_2d):
+        theta = np.random.default_rng(8).standard_normal((4, 2))
+        out = np.full((3, 4, 2), np.nan)
+        got = execute_round(np.broadcast_to(theta, (3, 4, 2)), quad_2d, out=out)
+        assert not np.shares_memory(got, out) and np.isnan(out).all()
+        assert all(np.array_equal(g, quad_2d.gradient(theta)) for g in got)
+
+    def test_misshaped_out_is_a_configuration_error(self, quad_2d):
+        with pytest.raises(ConfigurationError):
+            execute_round(np.zeros((3, 4, 2)), quad_2d, out=np.empty((3, 2)))
+
+    def test_quadratic_gradients_do_not_share_the_oracle_scratch(self, quad_2d):
+        a, b = np.ones((4, 2)), np.zeros((4, 2))
+        ga = quad_2d._gradient(a)
+        kept = ga.copy()
+        gb = quad_2d._gradient(b)
+        assert np.array_equal(ga, kept) and not np.shares_memory(ga, gb)
+        assert np.array_equal(gb, (b - quad_2d.mean) @ quad_2d.precision)

@@ -2,8 +2,13 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,11 @@ from parlmc import (
 )
 from parlmc import noise as noise_mod
 from parlmc.samplers import KINDS, KINETIC_KINDS
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 
 def _quad(diag, mean=None):
@@ -615,3 +625,156 @@ class TestDynamicsProperties:
             idx = rng.integers(0, 10_000, size=10_000)
             boots.append(w2_gaussian(empirical_summary(theta[idx]), target))
         assert w2 <= disc + 3 * np.std(boots)
+
+
+class _NestingPotential(QuadraticPotential):
+    """A quadratic oracle whose every call first runs a step of its own at the caller's shape."""
+
+    def __init__(self, kind, cfg):
+        super().__init__(np.diag(np.linspace(1.0, 10.0, 3)))
+        self.kind, self.cfg, self.inner = kind, cfg, []
+
+    def _gradient(self, theta):
+        start = ChainState(theta=np.zeros(theta.shape), v=np.zeros(theta.shape))
+        self.inner.append(step(self.kind, start, self.cfg, _quad(np.linspace(1.0, 10.0, 3))))
+        return super()._gradient(theta)
+
+
+def _workspace_cfg(kind, R=4, Q=3, seed=81):
+    return SamplerConfig(h=0.01, n=3, R=R, Q=Q, gamma=5.0 if kind in KINETIC_KINDS else None, seed=seed)
+
+
+_FRESH_RUNS = """
+import sys, warnings
+import numpy as np
+from parlmc import QuadraticPotential, SamplerConfig, run
+warnings.simplefilter("ignore")
+out = {}
+for kind in ("prlmc", "prklmc"):
+    cfg = SamplerConfig(h=0.01, n=3, R=int(sys.argv[2]), Q=3, gamma=5.0 if kind == "prklmc" else None, seed=84)
+    st = run(kind, cfg, QuadraticPotential.from_diagonal(np.linspace(1.0, 10.0, 3)), n_chains=int(sys.argv[3])).final_state
+    out[kind + "_theta"] = st.theta
+    if st.v is not None:
+        out[kind + "_v"] = st.v
+np.savez(sys.argv[1], **out)
+"""
+
+_FAULTS_PER_STEP = """
+import os, resource, sys
+os.environ["PARLMC_WORKERS"] = "1"
+import numpy as np
+from parlmc import ChainState, QuadraticPotential, SamplerConfig, step
+pot = QuadraticPotential.from_diagonal(np.linspace(1.0, 10.0, 10))
+cfg = SamplerConfig(h=0.005, n=1, R=37, Q=5, seed=85)
+state = ChainState(theta=np.zeros((1000, 10)))
+for _ in range(2):
+    state = step("prlmc", state, cfg, pot)
+before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+for _ in range(6):
+    state = step("prlmc", state, cfg, pot)
+print((resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before) / 6)
+"""
+
+
+def _python(script, *args):
+    """Run `script` in a fresh interpreter that imports this checkout's parlmc; return its stdout."""
+    src = str(Path(noise_mod.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PARLMC_WORKERS"}
+    env["PYTHONPATH"] = src + ("" if not env.get("PYTHONPATH") else ":" + env["PYTHONPATH"])
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestStepWorkspace:
+    """A step's arrays live in a per-thread workspace; no caller can see it reused."""
+
+    @pytest.mark.parametrize("kind", ["rlmc", "prlmc", "rklmc", "prklmc"])
+    def test_returned_state_survives_later_steps(self, kind):
+        cfg, pot = _workspace_cfg(kind), _quad(np.linspace(1.0, 10.0, 3))
+        first = step(kind, ChainState(theta=np.zeros((6, 3)), v=np.zeros((6, 3))), cfg, pot)
+        kept = (first.theta.copy(), None if first.v is None else first.v.copy())
+        state = first
+        for _ in range(3):
+            state = step(kind, state, cfg, pot)
+            assert not np.shares_memory(state.theta, first.theta)
+        assert np.array_equal(first.theta, kept[0])
+        if kept[1] is not None:
+            assert np.array_equal(first.v, kept[1]) and not np.shares_memory(state.v, first.v)
+
+    @pytest.mark.parametrize("kind", ["prlmc", "prklmc"])
+    def test_threads_at_one_shape_get_their_serial_bits(self, kind, monkeypatch):
+        monkeypatch.setenv("PARLMC_WORKERS", "1")  # every round on the thread that runs the step
+        pot = _quad(np.linspace(1.0, 10.0, 3))
+        cfgs = [dataclasses.replace(_workspace_cfg(kind, seed=82 + i), n=8) for i in range(2)]
+        want = [_silent_run(kind, cfg, pot, n_chains=50).final_state.theta for cfg in cfgs]
+        got = [None, None]
+
+        def worker(i):
+            got[i] = _silent_run(kind, cfgs[i], _quad(np.linspace(1.0, 10.0, 3)), n_chains=50).final_state.theta
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("kind", ["prlmc", "prklmc"])
+    def test_step_nested_in_an_oracle_leaves_the_outer_step_intact(self, kind, monkeypatch):
+        monkeypatch.setenv("PARLMC_WORKERS", "1")  # the oracle, and so the inner step, runs on the outer thread
+        cfg = _workspace_cfg(kind)
+        theta = np.random.default_rng(83).standard_normal((6, 3))
+        start = ChainState(theta=theta, v=np.zeros((6, 3)) if kind in KINETIC_KINDS else None)
+        want = step(kind, start, cfg, _quad(np.linspace(1.0, 10.0, 3)))
+        nesting = _NestingPotential(kind, cfg)
+        got = step(kind, start, cfg, nesting)
+        assert np.array_equal(got.theta, want.theta)
+        if kind in KINETIC_KINDS:
+            assert np.array_equal(got.v, want.v)
+        inner = step(kind, ChainState(theta=np.zeros((6, 3)), v=np.zeros((6, 3))), cfg,
+                     _quad(np.linspace(1.0, 10.0, 3)))
+        assert len(nesting.inner) == 1 + (cfg.Q - 1) * cfg.R
+        assert all(np.array_equal(s.theta, inner.theta) for s in nesting.inner)
+
+    def test_shape_changes_give_fresh_process_bits(self, tmp_path):
+        fresh = {}
+        for R, C in ((37, 8), (4, 3)):
+            _python(_FRESH_RUNS, tmp_path / f"{R}_{C}.npz", R, C)
+            fresh[R, C] = dict(np.load(tmp_path / f"{R}_{C}.npz"))
+        pot = _quad(np.linspace(1.0, 10.0, 3))
+        for R, C in ((37, 8), (4, 3), (37, 8)):
+            for kind in ("prlmc", "prklmc"):
+                cfg = dataclasses.replace(_workspace_cfg(kind, R=R, seed=84), n=3)
+                st = _silent_run(kind, cfg, pot, n_chains=C).final_state
+                assert np.array_equal(st.theta, fresh[R, C][kind + "_theta"])
+                if st.v is not None:
+                    assert np.array_equal(st.v, fresh[R, C][kind + "_v"])
+
+    @pytest.mark.parametrize("kinetic", [False, True])
+    def test_draws_without_a_workspace_share_no_memory(self, kinetic):
+        U = noise_mod.draw_midpoints(5, noise_mod.stream(86, 0, noise_mod.ROLE_MIDPOINTS), size=4)
+
+        def draw(k):
+            rng = noise_mod.stream(86, k, noise_mod.ROLE_PATH)
+            if kinetic:
+                return noise_mod.draw_kinetic_noise(5, 2.0, 0.1, 3, U, rng)
+            return noise_mod.draw_vanilla_noise(5, 0.1, 3, U, rng)
+
+        a, b = draw(0), draw(1)
+        drawn = [f.name for f in dataclasses.fields(a) if f.name != "U"]  # U is the caller's midpoints
+        assert not any(np.shares_memory(getattr(a, x), getattr(b, y)) for x in drawn for y in drawn)
+
+    @pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="needs resource.RUSAGE_THREAD")
+    def test_vanilla_tuned_shape_stops_faulting_its_arrays_back_in(self):
+        # prlmc at R=37, Q=5 on 1000 chains cycled about 12 MB of arrays through the heap per step,
+        # which glibc handed back to the OS and faulted in again: about 3250 minor faults per step.
+        faults = float(_python(_FAULTS_PER_STEP))
+        assert faults < 1000
