@@ -81,12 +81,13 @@ def main(argv=None) -> int:
     steps = blocks * args.block
     out = {
         "kind": args.kind, "R": args.R, "Q": args.Q, "chains": args.chains, "p": args.p,
-        "workers": args.workers, "steps": steps,
+        "workers": args.workers, "steps": steps, "block": args.block,
         "wall_ms": 1e3 * statistics.median(walls) / args.block,
         "faults": (after.ru_minflt - before.ru_minflt) / steps,
         "sys_ms": 1e3 * (after.ru_stime - before.ru_stime) / steps,
     }
-    print(f"{args.kind} R={args.R} Q={args.Q} C={args.chains} p={args.p}: wall {out['wall_ms']:.2f} ms/step, "
+    print(f"{args.kind} R={args.R} Q={args.Q} C={args.chains} p={args.p} block={args.block}: "
+          f"wall {out['wall_ms']:.2f} ms/step, "
           f"faults {out['faults']:.0f}/step, sys {out['sys_ms']:.2f} ms/step")
     print(json.dumps(out))
     return 0
