@@ -162,12 +162,10 @@ class QuadraticPotential(Potential):
 
 
 def _sigmoid_neg(u, e=None, mask=None):
-    """sigma(-u) = 1 / (1 + e^u) written over u, overflow-safe via e^{-|u|}; scratch `e`, `mask` saves page faults."""
-    mask = np.greater_equal(u, 0, out=mask)
-    e = np.abs(u, out=e)
-    np.exp(np.negative(e, out=e), out=e)
-    u.fill(1.0)
-    np.copyto(u, e, where=mask)
+    """sigma(-u) = 1 / (1 + e^u) over u, branch-free: e = exp(copysign(u, -1)) = e^{-|u|} never overflows,
+    and the numerator max(e, [u < 0]) is e for u >= 0 and exactly 1 below; scratch `e`, `mask` saves page faults."""
+    e = np.exp(np.copysign(u, -1.0, out=e), out=e)
+    np.maximum(e, np.less(u, 0.0, out=mask), out=u)
     e += 1.0
     u /= e
     return u
@@ -180,6 +178,9 @@ class LogisticRidgePotential(Potential):
     labels y_i in {-1, +1}.  m = lam and M = lam + ||X||_op^2 / 4, the exact
     operator norm via singular values so the tuning formulas see sharp
     constants.  The minimizer is located by a Newton solve at construction.
+    The signed design Xy = X * y[:, None] is built once: as y = +-1 only signs
+    change, so theta @ Xy.T and ridge theta - w @ Xy are bit for bit the margins
+    (theta @ X.T) * y and the gradient (w * -y) @ X + ridge theta, w = sigma(-u).
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, ridge: float):
@@ -199,15 +200,14 @@ class LogisticRidgePotential(Potential):
         M = float(ridge + smax**2 / 4.0)
         self.X = X
         self.y = y
+        self._Xy = X * y[:, None]
         self.ridge = float(ridge)
         self._scratch = threading.local()  # per-thread (..., N) buffers of _gradient: two float, one bool
         minimizer = self._solve_minimizer(p, m, M)
         super().__init__(PotentialSpec(p, m, M, minimizer=minimizer))
 
     def _margins(self, theta, out=None):
-        u = np.matmul(theta, self.X.T, out=out)  # (..., N)
-        u *= self.y
-        return u
+        return np.matmul(theta, self._Xy.T, out=out)  # (..., N)
 
     def _gradient(self, theta):
         shape = theta.shape[:-1] + self.y.shape  # reallocated only when the (..., N) shape changes
@@ -216,8 +216,7 @@ class LogisticRidgePotential(Potential):
             scratch.shape, scratch.bufs = shape, (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
         u, e, mask = scratch.bufs
         w = _sigmoid_neg(self._margins(theta, out=u), e, mask)
-        w *= -self.y  # labels are +-1, so this is -(w * y) exactly
-        return w @ self.X + self.ridge * theta
+        return self.ridge * theta - w @ self._Xy
 
     def _value(self, theta):
         u = self._margins(theta)

@@ -15,6 +15,7 @@ from parlmc import (
     check_gradient_fd,
     execute_round,
 )
+from parlmc.potentials import _sigmoid_neg
 
 
 class TestQuadraticGradient:
@@ -266,3 +267,77 @@ class TestLogisticScratch:
             hess = pot.X.T @ (pot.X * (w * (1 - w))[:, None]) + pot.ridge * np.eye(7)
             minimizer = minimizer - np.linalg.solve(hess, g)
         assert np.array_equal(pot.spec.minimizer, minimizer)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestSigmoidNegEdges:
+    """The branch-free weight keeps the bits of the fresh-array formula at the edges of exp."""
+
+    EDGES = [0.0, 1e-300, 709.8, 745.5, np.inf]
+
+    @pytest.mark.parametrize("scratch", [False, True])
+    def test_bits_at_edges_and_scales(self, scratch):
+        rng = np.random.default_rng(12)
+        edges = np.array(self.EDGES + [-v for v in self.EDGES])
+        scales = [s * rng.standard_normal(500) for s in (1.0, 10.0, 100.0, 800.0)]
+        u = np.concatenate([edges, *scales, [np.nan]])
+        want = _reference_sigmoid_neg(u)
+        bufs = (np.full(u.shape, np.nan), np.ones(u.shape, dtype=bool)) if scratch else ()
+        got = _sigmoid_neg(u.copy(), *bufs)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(_bits(got[:-1]), _bits(want[:-1]))
+        # e^{-709.8} is subnormal and 1 + it rounds to 1; e^{-745.5} underflows to 0.
+        expected = [0.5, 0.5, np.exp(-709.8), 0.0, 0.0, 0.5, 0.5, 1.0, 1.0, 1.0]
+        assert np.array_equal(_bits(got[: edges.size]), _bits(expected))
+
+
+def _reference_minimizer(pot):
+    """The construction's Newton solve, on the fresh-array formula."""
+    p = pot.spec.dimension
+    theta = np.zeros(p)
+    for _ in range(100):
+        w = _reference_sigmoid_neg(theta @ pot.X.T * pot.y)
+        g = _reference_gradient(pot, theta)
+        if np.linalg.norm(g, np.inf) <= 1e-12 * pot.spec.smoothness * (1 + np.linalg.norm(theta)):
+            break
+        hess = pot.X.T @ (pot.X * (w * (1 - w))[:, None]) + pot.ridge * np.eye(p)
+        theta = theta - np.linalg.solve(hess, g)
+    return theta
+
+
+@pytest.fixture(scope="module")
+def logistic_tall():
+    """A 2000 x 10 design, the shape of the logistic benchmark, with informative labels."""
+    rng = np.random.default_rng(2000)
+    X = 0.05 * rng.standard_normal((2000, 10))
+    theta_true = 3.0 * rng.standard_normal(10)
+    y = np.where(rng.random(2000) < 0.5 * (1.0 + np.tanh(0.5 * X @ theta_true)), 1.0, -1.0)
+    return LogisticRidgePotential(X, y, ridge=1.0)
+
+
+class TestLogisticTallDesign:
+    """Oracle bits at N = 2000, where the BLAS products block over k = 2000."""
+
+    @pytest.mark.parametrize("chains", [1, 50])
+    def test_gradient_bits(self, logistic_tall, chains):
+        pot = logistic_tall
+        theta = pot.spec.minimizer + np.random.default_rng(chains).standard_normal((chains, 10))
+        assert np.array_equal(_bits(pot._gradient(theta)), _bits(_reference_gradient(pot, theta)))
+
+    def test_slot_major_round(self, logistic_tall):
+        pot = logistic_tall
+        points = pot.spec.minimizer + np.random.default_rng(13).standard_normal((4, 50, 10))
+        got = execute_round(points, pot)
+        for r in range(4):
+            assert np.array_equal(_bits(got[r]), _bits(_reference_gradient(pot, points[r])))
+
+    def test_value_and_minimizer(self, logistic_tall):
+        pot = logistic_tall
+        theta = np.random.default_rng(14).standard_normal((5, 10))
+        u = theta @ pot.X.T * pot.y
+        value = np.sum(np.logaddexp(0.0, -u), axis=-1) + 0.5 * pot.ridge * np.sum(theta * theta, axis=-1)
+        assert np.array_equal(_bits(pot.value(theta)), _bits(value))
+        assert np.array_equal(_bits(pot.spec.minimizer), _bits(_reference_minimizer(pot)))

@@ -2,9 +2,13 @@
 
     python tools/faults.py KIND --R 37 --Q 5 --chains 1000 [--p 10] [--steps 40]
         [--block 2] [--warmup 2] [--workers 1] [--cpu 0] [--src DIR]
+        [--target quadratic|logistic]
 
-Runs ``parlmc.run`` on a p-dimensional quadratic (diagonal from 1 to 10) in
-blocks of ``--block`` outer iterations, each block continuing the chains
+Runs ``parlmc.run`` with step h = 0.05 / M on a p-dimensional target: by
+default a quadratic (diagonal from 1 to 10); with ``--target logistic`` a
+ridge-logistic potential (ridge 1, kappa 4) on a 2000 x p Gaussian design
+with labels drawn from a logistic model, generated from a fixed seed.  It
+runs in blocks of ``--block`` outer iterations, each block continuing the chains
 where the previous one left them, as a user who resumes chains does.  After
 ``--warmup`` steps it runs ``--steps`` more and reads ``getrusage`` of the
 whole process around them; it prints the median wall ms per step over the
@@ -44,6 +48,7 @@ def main(argv=None) -> int:
     parser.add_argument("--warmup", type=int, default=2)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--cpu", type=int, default=0)
+    parser.add_argument("--target", choices=("quadratic", "logistic"), default="quadratic")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
     args = parser.parse_args(argv)
 
@@ -56,10 +61,18 @@ def main(argv=None) -> int:
 
     import parlmc
 
-    diag = np.linspace(1.0, 10.0, args.p)
-    potential = parlmc.QuadraticPotential.from_diagonal(diag)
-    config = parlmc.SamplerConfig(h=0.05 / diag[-1], n=args.block, R=args.R, Q=args.Q,
-                                  gamma=2.0 * np.sqrt(diag[-1]), seed=1)
+    if args.target == "logistic":
+        rng = np.random.default_rng(2402)
+        X = rng.standard_normal((2000, args.p))
+        X *= np.sqrt(12.0) / np.linalg.norm(X, 2)  # M = 1 + |X|_op^2 / 4 = 4
+        logits = X @ rng.standard_normal(args.p)
+        logits /= logits.std()
+        y = np.where(rng.random(2000) < 0.5 * (1.0 + np.tanh(0.5 * logits)), 1.0, -1.0)
+        potential = parlmc.LogisticRidgePotential(X, y, ridge=1.0)
+    else:
+        potential = parlmc.QuadraticPotential.from_diagonal(np.linspace(1.0, 10.0, args.p))
+    M = potential.spec.smoothness
+    config = parlmc.SamplerConfig(h=0.05 / M, n=args.block, R=args.R, Q=args.Q, gamma=2.0 * np.sqrt(M), seed=1)
     state = None
 
     def block(seed):
@@ -80,13 +93,13 @@ def main(argv=None) -> int:
     after = resource.getrusage(resource.RUSAGE_SELF)
     steps = blocks * args.block
     out = {
-        "kind": args.kind, "R": args.R, "Q": args.Q, "chains": args.chains, "p": args.p,
+        "kind": args.kind, "target": args.target, "R": args.R, "Q": args.Q, "chains": args.chains, "p": args.p,
         "workers": args.workers, "steps": steps, "block": args.block,
         "wall_ms": 1e3 * statistics.median(walls) / args.block,
         "faults": (after.ru_minflt - before.ru_minflt) / steps,
         "sys_ms": 1e3 * (after.ru_stime - before.ru_stime) / steps,
     }
-    print(f"{args.kind} R={args.R} Q={args.Q} C={args.chains} p={args.p} block={args.block}: "
+    print(f"{args.kind} {args.target} R={args.R} Q={args.Q} C={args.chains} p={args.p} block={args.block}: "
           f"wall {out['wall_ms']:.2f} ms/step, "
           f"faults {out['faults']:.0f}/step, sys {out['sys_ms']:.2f} ms/step")
     print(json.dumps(out))
