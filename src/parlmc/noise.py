@@ -60,6 +60,7 @@ _SQRT2 = np.sqrt(2.0)
 
 # Eigenvalue tolerance when validating an assembled covariance.
 _PSD_TOL = 1e-10
+_SPENT_BUFFER = np.zeros(4, np.uint64)  # a new Philox's output buffer: all used (buffer_pos 4)
 
 
 @lru_cache(maxsize=256)
@@ -69,15 +70,21 @@ def _philox_key(seed: int) -> np.ndarray:
     return key
 
 
-def stream(seed: int, iteration: int, role: int) -> np.random.Generator:
+def stream(seed: int, iteration: int, role: int, work: dict | None = None) -> np.random.Generator:
     """Counter-based generator keyed by (seed, iteration, role).
 
     Distinct keys give non-overlapping Philox streams, so any draw is
-    reproducible regardless of which worker or schedule executes it.
+    reproducible regardless of which worker or schedule executes it.  Given a
+    step's workspace `work`, its one generator is re-keyed: 2 us, not 10, same bits.
     """
     key = _philox_key(int(seed))
     counter = np.array([0, 0, int(role), int(iteration)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    if work is None or "rng" not in work:
+        rng = np.random.Generator(np.random.Philox(counter=counter, key=key))
+        return rng if work is None else work.setdefault("rng", rng)
+    work["rng"].bit_generator.state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+                                       "buffer": _SPENT_BUFFER, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return work["rng"]
 
 
 def psi(x):

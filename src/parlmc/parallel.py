@@ -9,10 +9,12 @@ A round is validated once, and each slot is one ``potential._gradient`` call
 on its block; the counter records R evaluations and ceil(R / width) rounds
 once.  The round is split into k = min(width, cap, R) contiguous blocks of
 slots: block 0 runs on the calling thread and blocks 1..k-1 on the shared
-pool, so at most k <= width gradients are in flight.  Each gradient is
-written to its slot by index, never by completion order, so trajectories are
-bitwise independent of scheduling.  Oracles are pure, so a round whose slots
-are one memory (a broadcast theta) is one evaluation on the calling thread.
+pool, so at most k <= width gradients are in flight; an oracle whose
+``pooled`` is false (the quadratic, as cheap as the ~20 us handoff to a
+worker) runs one block on the caller.  Each gradient is written to its slot
+by index, never by completion order, so trajectories are bitwise independent
+of scheduling.  Oracles are pure, so a round whose slots are one memory (a
+broadcast theta) is one evaluation on the calling thread.
 
 Rounds share one thread pool, grown only when a round needs more workers;
 the ``PARLMC_WORKERS`` environment variable (the cap) limits the threads a
@@ -89,7 +91,8 @@ def execute_round(points: np.ndarray, potential, width: int | None = None, out=N
     Each slot is then one `potential._gradient` call on points[r].  A worker
     budget `width` (None means R) bounds the gradients in flight: the round
     runs as min(width, cap, R) contiguous blocks, the first on the calling
-    thread, into `out` (floats shaped like `points`) if given, else a new array.
+    thread (the only one if ``potential.pooled`` is false: no pool is touched),
+    into `out` (floats shaped like `points`) if given, else a new array.
     A round whose slots are one memory (``points.strides[0] == 0``) is validated
     and evaluated once, on the caller, and returns a read-only ``np.broadcast_to``
     of that gradient, ignoring `out`.  The counter gains the nominal +R
@@ -114,7 +117,7 @@ def execute_round(points: np.ndarray, potential, width: int | None = None, out=N
         _fail(int(np.argmax(~np.isfinite(slots).reshape(n, -1).all(axis=1))), exc)
     grads = np.empty(slots.shape) if out is None or slots is not points else out
     cap = worker_limit()
-    k = min(width, cap or width, n)
+    k = min(width, cap or width, n) if potential.pooled else 1
     blocks = [range(n * b // k, n * (b + 1) // k) for b in range(k)]
     futures = _submit_blocks(potential._gradient, slots, grads, blocks[1:], cap)
     failures = [_run_block(potential._gradient, slots, grads, blocks[0])]

@@ -86,7 +86,13 @@ class EvalCounter:
 
 
 class Potential:
-    """Base gradient oracle; subclasses implement ``_gradient`` and ``_value``."""
+    """Base gradient oracle; subclasses implement ``_gradient`` and ``_value``.
+
+    ``pooled`` oracles (the default: user, logistic and sleeping ones) spread their rounds over the shared
+    pool, as a call costs more than the ~20 us handoff to a worker; the quadratic, about that cheap, does not.
+    """
+
+    pooled = True
 
     def __init__(self, spec: PotentialSpec):
         self.spec = spec
@@ -127,6 +133,8 @@ class QuadraticPotential(Potential):
     The canonical strongly log-concave target: pi = N(mu, A^{-1}).  Curvature
     constants are the extreme eigenvalues of A, computed at construction.
     """
+
+    pooled = False  # a call costs about a pool handoff: rounds run on the caller
 
     def __init__(self, precision: np.ndarray, mean: np.ndarray | None = None):
         a = np.asarray(precision, dtype=float)

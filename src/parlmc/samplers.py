@@ -150,11 +150,11 @@ def _preconditions(kind: str, config: SamplerConfig, spec):
 def _draw(kind, config, k, R, theta, work):
     """Iteration k's noise: lmc's bare xi, else the midpoints and the regime's path draw."""
     if kind == "lmc":
-        rng = noise_mod.stream(config.seed, k, noise_mod.ROLE_PATH)
+        rng = noise_mod.stream(config.seed, k, noise_mod.ROLE_PATH, work)
         return np.sqrt(2.0 * config.h) * rng.standard_normal(theta.shape)
     size = None if theta.ndim == 1 else theta.shape[0]
-    u = noise_mod.draw_midpoints(R, noise_mod.stream(config.seed, k, noise_mod.ROLE_MIDPOINTS), size=size)
-    rng = noise_mod.stream(config.seed, k, noise_mod.ROLE_PATH)
+    u = noise_mod.draw_midpoints(R, noise_mod.stream(config.seed, k, noise_mod.ROLE_MIDPOINTS, work), size=size)
+    rng = noise_mod.stream(config.seed, k, noise_mod.ROLE_PATH, work)  # the same generator, re-keyed
     if kind in KINETIC_KINDS:
         return noise_mod.draw_kinetic_noise(R, config.gamma, config.h, theta.shape[-1], u, rng, work=work)
     return noise_mod.draw_vanilla_noise(R, config.h, theta.shape[-1], u, rng, work=work)

@@ -76,6 +76,18 @@ class TestPsi:
         assert np.all(np.diff(vals) < 0)
 
 
+class TestStream:
+    @pytest.mark.parametrize("method", ["random", "standard_normal"])
+    def test_rekeyed_stream_equals_a_fresh_one(self, method):
+        work = {}
+        for seed, k, role in [(3, 0, 0), (3, 0, 1), (3, 1, 0), (3, 1, 1), (3, 7, 2), (11, 7, 2), (11, 2**40, 1)]:
+            rekeyed = stream(seed, k, role, work)
+            assert rekeyed is work["rng"]  # one generator per workspace
+            got, want = getattr(rekeyed, method)(37), getattr(stream(seed, k, role), method)(37)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            rekeyed.integers(0, 2**31, size=3, dtype=np.uint32)  # leave a half-used word and buffer behind
+
+
 class TestMidpoints:
     def test_single_stratum_uniform(self):
         u = draw_midpoints(1, stream(0, 0, ROLE_MIDPOINTS))

@@ -1,13 +1,17 @@
 """Round execution: ordered results, ceil accounting, the width budget and the shared pool."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import parlmc
 from parlmc import (
     ConfigurationError,
     QuadraticPotential,
@@ -17,17 +21,28 @@ from parlmc import (
 )
 
 
+class PooledQuadratic(QuadraticPotential):
+    """The quadratic oracle, declared worth the pool, so its rounds exercise the pool's blocks."""
+
+    pooled = True
+
+
+@pytest.fixture
+def pooled_quad_2d():
+    return PooledQuadratic.from_diagonal([1.0, 10.0], mean=[1.0, -0.5])
+
+
 class TestExecuteRound:
     def test_identical_points_identical_gradients(self, quad_2d):
         grads = execute_round(np.stack([np.array([0.3, -0.7])] * 4), quad_2d)
         for g in grads[1:]:
             assert np.array_equal(g, grads[0])
 
-    def test_order_preserved_under_pool(self, quad_2d):
+    def test_order_preserved_under_pool(self, quad_2d, pooled_quad_2d):
         rng = np.random.default_rng(8)
         points = [rng.standard_normal(2) for _ in range(8)]
         expected = [quad_2d.gradient(p) for p in points]
-        grads = execute_round(np.stack(points), quad_2d, width=4)
+        grads = execute_round(np.stack(points), pooled_quad_2d, width=4)
         for got, want in zip(grads, expected):
             assert np.array_equal(got, want)
 
@@ -57,16 +72,16 @@ class TestExecuteRound:
             execute_round(np.stack(points), quad_2d, width=3)
         assert err.value.index == 1
 
-    def test_lowest_bad_slot_reported_across_blocks(self, quad_2d, monkeypatch):
+    def test_lowest_bad_slot_reported_across_blocks(self, pooled_quad_2d, monkeypatch):
         monkeypatch.setenv("PARLMC_WORKERS", "2")
         points = np.zeros((8, 2))
         points[5, 0], points[1, 1] = np.nan, np.inf
         with pytest.raises(RoundExecutionError) as err:
-            execute_round(points, quad_2d, width=8)
+            execute_round(points, pooled_quad_2d, width=8)
         assert err.value.index == 1
 
     def test_failing_block_stops_and_lowest_slot_is_reported(self, monkeypatch):
-        monkeypatch.setenv("PARLMC_WORKERS", "2")  # two blocks per wave: slots 0-3 and 4-7
+        monkeypatch.setenv("PARLMC_WORKERS", "2")  # two blocks: slots 0-3 on the caller, 4-7 on the pool
 
         class FailingPotential(SyntheticDelayPotential):
             def __init__(self, dimension):
@@ -159,12 +174,12 @@ class TestExecuteRound:
         execute_round(points, pot, width=8)
         assert all(pot.threads[i] == caller for i in range(8))
 
-    def test_one_pool_across_widths(self, quad_2d, monkeypatch):
+    def test_one_pool_across_widths(self, pooled_quad_2d, monkeypatch):
         monkeypatch.setenv("PARLMC_WORKERS", "2")  # shrink whatever pool earlier tests left
-        execute_round(np.zeros((4, 2)), quad_2d)
+        execute_round(np.zeros((4, 2)), pooled_quad_2d)
         monkeypatch.delenv("PARLMC_WORKERS")
         for width in (24, 37, 4):
-            execute_round(np.zeros((width, 2)), quad_2d)
+            execute_round(np.zeros((width, 2)), pooled_quad_2d)
 
         def alive():
             return sum(t.name.startswith("parlmc-round") for t in threading.enumerate())
@@ -174,7 +189,7 @@ class TestExecuteRound:
             time.sleep(0.01)
         assert alive() <= 37
 
-    def test_concurrent_rounds_of_different_widths(self, quad_2d, monkeypatch):
+    def test_concurrent_rounds_of_different_widths(self, quad_2d, pooled_quad_2d, monkeypatch):
         monkeypatch.delenv("PARLMC_WORKERS", raising=False)
         rng = np.random.default_rng(11)
         points = rng.standard_normal((9, 2))
@@ -185,7 +200,7 @@ class TestExecuteRound:
             try:
                 for i in range(30):
                     R = 2 + (offset + i) % 8
-                    got = execute_round(points[:R], quad_2d, width=R - i % 2)
+                    got = execute_round(points[:R], pooled_quad_2d, width=R - i % 2)
                     if not all(np.array_equal(g, e) for g, e in zip(got, expected)):
                         errors.append(f"wrong gradients at caller {offset}, round {i}")
             except Exception as exc:  # any failure is reported by the assertion below
@@ -282,3 +297,51 @@ class TestRoundOut:
         gb = quad_2d._gradient(b)
         assert np.array_equal(ga, kept) and not np.shares_memory(ga, gb)
         assert np.array_equal(gb, (b - quad_2d.mean) @ quad_2d.precision)
+
+
+_INLINE_ROUNDS = """
+import threading
+import numpy as np
+from parlmc import QuadraticPotential, execute_round
+
+calls = []
+
+class RecordingPotential(QuadraticPotential):
+    def _gradient(self, theta):
+        calls.append(threading.get_ident())
+        return super()._gradient(theta)
+
+pot = RecordingPotential(np.diag([1.0, 10.0]))
+points = np.random.default_rng(9).standard_normal((8, 5, 2))
+for width in (1, 4, 8):
+    got = execute_round(points, pot, width)
+    assert np.array_equal(got, QuadraticPotential(np.diag([1.0, 10.0]))._gradient(points)), width
+print(len(calls), set(calls) == {threading.get_ident()},
+      sum(t.name.startswith("parlmc-round") for t in threading.enumerate()))
+"""
+
+
+class TestWhichOraclesPool:
+    """Only an oracle that declares the pool hands slots to it."""
+
+    def test_quadratic_rounds_run_on_the_caller_and_start_no_pool(self):
+        env = {k: v for k, v in os.environ.items() if k != "PARLMC_WORKERS"}
+        src = str(Path(parlmc.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src + ("" if not env.get("PYTHONPATH") else ":" + env["PYTHONPATH"])
+        done = subprocess.run([sys.executable, "-c", _INLINE_ROUNDS], env=env, capture_output=True, text=True,
+                              timeout=120)  # a fresh interpreter: no pool left by an earlier test
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["24", "True", "0"]
+
+    def test_uncapped_logistic_round_uses_the_pool(self, logistic_small, monkeypatch):
+        monkeypatch.delenv("PARLMC_WORKERS", raising=False)
+        threads, plain = {}, logistic_small._gradient
+
+        def recording(theta):
+            threads[int(round(theta[0] * 10))] = threading.get_ident()
+            return plain(theta)
+
+        monkeypatch.setattr(logistic_small, "_gradient", recording)
+        points = np.arange(4.0)[:, None] / 10 + np.zeros((4, 3))
+        execute_round(points, logistic_small, width=4)  # blocks: slot 0 on the caller, 1-3 on the pool
+        assert [threads[i] == threading.get_ident() for i in range(4)] == [True, False, False, False]
