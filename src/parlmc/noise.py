@@ -195,17 +195,20 @@ def coeff_b_kinetic(R: int, gamma: float, h: float, U, j: int, r: int) -> float:
     return float(length - np.exp(-gamma * (u_r * h - u2)) * _em1(gamma * length) / gamma)
 
 
-def _take(work: dict | None, name: str, shape: tuple) -> np.ndarray:
-    """Uninitialised float array of `shape`: a cached view on the front of work[name] (grown to fit), or new."""
+def _take(work: dict | None, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """Uninitialised `dtype` array of `shape` (new if work is None): parlmc's one rule for reusing memory.  Each name
+    keeps one byte buffer, sized to its largest request; growing it drops the name's cached views and the old buffer."""
     if work is None:
-        return np.empty(shape)
-    view = work.get((name, shape))
+        return np.empty(shape, dtype)
+    view = work.get((name, shape, dtype))
     if view is None:
-        size, buf = int(np.prod(shape)), work.get(name)
+        size, buf = int(np.prod(shape)) * np.dtype(dtype).itemsize, work.get(name)
         if buf is None or buf.size < size:
-            raw = np.empty(size + 7)  # cut to start on a 64-byte line: BLAS and the ufunc loops run faster there
-            buf = work[name] = raw[(-raw.ctypes.data % 64) // 8 :][:size]
-        view = work[name, shape] = buf[:size].reshape(shape)
+            for key in [key for key in work if type(key) is tuple and key[0] == name]:
+                del work[key]
+            raw = np.empty(size + 63, np.uint8)  # cut to start on a 64-byte line: BLAS and ufunc loops run faster
+            buf = work[name] = raw[-raw.ctypes.data % 64 :][:size]
+        view = work[name, shape, dtype] = buf[:size].view(dtype).reshape(shape)
     return view
 
 

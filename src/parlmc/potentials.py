@@ -210,7 +210,7 @@ class LogisticRidgePotential(Potential):
         self.y = y
         self._Xy = X * y[:, None]
         self.ridge = float(ridge)
-        self._scratch = threading.local()  # per-thread (..., N) buffers of _gradient: two float, one bool
+        self._scratch = threading.local()  # per thread: the work dict of _gradient's (..., N) u, e and mask
         minimizer = self._solve_minimizer(p, m, M)
         super().__init__(PotentialSpec(p, m, M, minimizer=minimizer))
 
@@ -218,11 +218,8 @@ class LogisticRidgePotential(Potential):
         return np.matmul(theta, self._Xy.T, out=out)  # (..., N)
 
     def _gradient(self, theta):
-        shape = theta.shape[:-1] + self.y.shape  # reallocated only when the (..., N) shape changes
-        scratch = self._scratch
-        if getattr(scratch, "shape", None) != shape:
-            scratch.shape, scratch.bufs = shape, (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
-        u, e, mask = scratch.bufs
+        work, shape = vars(self._scratch), theta.shape[:-1] + self.y.shape
+        u, e, mask = _take(work, "u", shape), _take(work, "e", shape), _take(work, "mask", shape, bool)
         w = _sigmoid_neg(self._margins(theta, out=u), e, mask)
         return self.ridge * theta - w @ self._Xy
 

@@ -46,8 +46,9 @@ kind's (R, Q) from `effective_rq`; its `noise` override lets tests force zero
 or fixed noise, and the `run` driver never overrides.
 
 A step's (R, ..., p) arrays (normals, path, points, gradients, walk scratch)
-live in a per-thread workspace kept for the last (kind, R, theta shape) only,
-not per run: resumed chains call ``run`` once per block.
+come from ``noise._take`` on one workspace dict per thread, not per run:
+resumed chains call ``run`` once per block.  Every kind and shape shares it,
+and it keeps one buffer per name, sized to the largest step it has served.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ _PINNED_RQ = {"lmc": (1, 1), "rlmc": (1, 2), "rklmc": (1, 2)}  # the sequential 
 # Divergence: an iterate norm not <= this multiple of (1 + ||theta_0||), NaN included.
 DIVERGENCE_FACTOR = 1e8
 
-_workspace = threading.local()  # per thread: {(kind, R, theta shape): its last step's buffers}
+_workspace = threading.local()  # per thread: "work", the noise._take dict of every step it runs
 
 
 class PreconditionWarning(UserWarning):
@@ -210,8 +211,7 @@ def step(kind: str, state: ChainState, config: SamplerConfig, potential: Potenti
     """
     R, Q = effective_rq(kind, config)
     theta, v, h, gamma = state.theta, state.v, config.h, config.gamma
-    key, held = (kind, R, theta.shape), vars(_workspace)
-    work = held.pop(key, None) or {}  # taken while this step runs
+    work = vars(_workspace).pop("work", {})  # taken while this step runs
     if noise is None:
         noise = _draw(kind, config, state.iteration, R, theta, work)
     bare = kind == "lmc" and not isinstance(noise, noise_mod.VanillaNoiseDraw)
@@ -226,8 +226,7 @@ def step(kind: str, state: ChainState, config: SamplerConfig, potential: Potenti
     else:
         new_theta = theta - (h / R) * _slot_sum(grads) + xi
         v = None
-    held.clear()
-    held[key] = work
+    _workspace.work = work
     return ChainState(theta=new_theta, iteration=state.iteration + 1, v=v)
 
 

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from parlmc import (
     check_gradient_fd,
     execute_round,
 )
+from parlmc.noise import _take
 from parlmc.potentials import _sigmoid_neg
 
 
@@ -50,6 +52,22 @@ class TestQuadraticGradient:
     def test_nonfinite_input(self, quad_2d):
         with pytest.raises(DomainError):
             quad_2d.gradient([np.nan, 0.0])
+
+    def test_grown_scratch_drops_its_views(self):
+        # Each growth of the scratch buffer drops the views cut from the smaller one, so none keeps it alive.
+        pot = QuadraticPotential.from_diagonal(np.linspace(1.0, 10.0, 10))
+        rng = np.random.default_rng(13)
+        thetas = [rng.standard_normal((chains, 10)) for chains in (1000, 10, 2000, 10, 4000, 10, 8000)]
+        tracemalloc.start()
+        try:
+            for theta in thetas:
+                pot._gradient(theta)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1.25 * 8000 * 10 * 8  # about one (8000, 10) buffer
+        mask = _take({}, "mask", (7, 3), bool)
+        assert mask.dtype == bool and mask.shape == (7, 3) and mask.ctypes.data % 64 == 0
 
 
 class TestLogisticGradient:
@@ -250,6 +268,24 @@ class TestLogisticScratch:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+    def test_alternating_chain_counts_allocate_no_scratch(self):
+        # One thread serving two chain counts keeps one buffer per name, sized to the larger count.
+        rng = np.random.default_rng(12)
+        X, y = rng.standard_normal((2000, 10)), np.where(rng.random(2000) < 0.5, -1.0, 1.0)
+        pot = LogisticRidgePotential(X, y, ridge=1.0)
+        thetas = [rng.standard_normal((chains, 10)) for chains in (50, 8)]
+        for theta in thetas:
+            pot._gradient(theta)
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                for theta in thetas:
+                    pot._gradient(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2000 * 8  # below one (8, N) float buffer
 
     def test_value_and_minimizer_unchanged(self, logistic_wide):
         pot = logistic_wide

@@ -650,8 +650,9 @@ import numpy as np
 from parlmc import QuadraticPotential, SamplerConfig, run
 warnings.simplefilter("ignore")
 out = {}
-for kind in ("prlmc", "prklmc"):
-    cfg = SamplerConfig(h=0.01, n=3, R=int(sys.argv[2]), Q=3, gamma=5.0 if kind == "prklmc" else None, seed=84)
+for kind in ("lmc", "rlmc", "prlmc", "rklmc", "prklmc"):
+    gamma = 5.0 if kind.endswith("klmc") else None
+    cfg = SamplerConfig(h=0.01, n=3, R=int(sys.argv[2]), Q=3, gamma=gamma, seed=84)
     st = run(kind, cfg, QuadraticPotential.from_diagonal(np.linspace(1.0, 10.0, 3)), n_chains=int(sys.argv[3])).final_state
     out[kind + "_theta"] = st.theta
     if st.v is not None:
@@ -751,7 +752,7 @@ class TestStepWorkspace:
             fresh[R, C] = dict(np.load(tmp_path / f"{R}_{C}.npz"))
         pot = _quad(np.linspace(1.0, 10.0, 3))
         for R, C in ((37, 8), (4, 3), (37, 8)):
-            for kind in ("prlmc", "prklmc"):
+            for kind in KINDS:
                 cfg = dataclasses.replace(_workspace_cfg(kind, R=R, seed=84), n=3)
                 st = _silent_run(kind, cfg, pot, n_chains=C).final_state
                 assert np.array_equal(st.theta, fresh[R, C][kind + "_theta"])

@@ -3,11 +3,11 @@
     python tools/digest.py OUT.npz [--src DIR]
     python tools/digest.py --compare A.npz B.npz
 
-The first form runs ``parlmc.run`` over a fixed matrix -- the five kinds, a
-10-d quadratic and a 40x3 logistic target, C in {1, 8} chains, (R, Q) in
-{(1,1), (1,2), (4,3), (24,1), (37,5)} and width None or 3 -- with one seed,
-and stores each run's final theta, v and ``to_csv()`` text under the run's
-name.  ``--src`` imports parlmc from another source tree, for example an
+The first form runs ``parlmc.run`` over a fixed matrix -- the five kinds,
+three targets (a 10-d diagonal quadratic, a 10-d dense quadratic from a fixed
+seed, a 40x3 logistic), C in {1, 8} chains, (R, Q) in {(1,1), (1,2), (4,3),
+(24,1), (37,5)} and width None or 3 -- with one seed, 300 runs, and stores
+each run's final theta, v and ``to_csv()`` text under the run's name.  ``--src`` imports parlmc from another source tree, for example an
 older checkout, so two versions can be digested by the same script.
 
 The second form prints, per run, whether the two files agree bitwise and the
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 KINDS = ("lmc", "rlmc", "prlmc", "rklmc", "prklmc")
-TARGETS = ("quadratic", "logistic")
+TARGETS = ("quadratic", "dense", "logistic")
 CHAINS = (1, 8)
 RQ = ((1, 1), (1, 2), (4, 3), (24, 1), (37, 5))
 WIDTHS = (None, 3)
@@ -36,8 +36,10 @@ def _targets(parlmc):
     rng = np.random.default_rng(314)
     X = rng.standard_normal((40, 3))
     y = np.where(rng.random(40) < 0.5, -1.0, 1.0)
+    B = np.random.default_rng(271).standard_normal((10, 10))  # non-diagonal SPD: covers the dense BLAS products
     return {
         "quadratic": lambda: parlmc.QuadraticPotential(np.diag(np.linspace(1.0, 10.0, 10))),
+        "dense": lambda: parlmc.QuadraticPotential(B @ B.T / 10 + np.eye(10)),
         "logistic": lambda: parlmc.LogisticRidgePotential(X, y, ridge=0.7),
     }
 
