@@ -16,25 +16,25 @@ by index, never by completion order, so trajectories are bitwise independent
 of scheduling.  Oracles are pure, so a round whose slots are one memory (a
 broadcast theta) is one evaluation on the calling thread.
 
-Rounds share one thread pool, grown only when a round needs more workers;
-the ``PARLMC_WORKERS`` environment variable (the cap) limits the threads a
-round runs on, the caller's included, without changing the accounting.
+Rounds share one unbounded thread pool that starts a thread only when none
+is idle, so a round submitted from a pool thread (a pooled oracle running a
+step of its own) never queues behind the block that waits for it; the
+``PARLMC_WORKERS`` environment variable (the cap) limits the threads a round
+runs on, the caller's included, without changing the accounting.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, RoundExecutionError
 
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
-_pool_lock = threading.Lock()
+_pool = ThreadPoolExecutor(max_workers=sys.maxsize, thread_name_prefix="parlmc-round")  # starts no thread yet
 
 
 def worker_limit() -> int | None:
@@ -59,25 +59,6 @@ def _run_block(fn, slots, grads, block):
         except Exception as exc:
             return i, exc
     return None
-
-
-def _submit_blocks(fn, slots, grads, blocks, cap: int | None) -> list[Future]:
-    """Submit slot blocks to the shared pool, first resized to one thread per block if too small or at the cap.
-
-    Submits nothing and touches no pool when `blocks` is empty.  A replaced
-    pool is shut down (its queued work still runs); submitting under the lock
-    closes the gap.
-    """
-    global _pool, _pool_size
-    if not blocks:
-        return []
-    with _pool_lock:
-        if _pool_size < len(blocks) or (cap is not None and _pool_size >= cap):
-            if _pool is not None:
-                _pool.shutdown(wait=False)
-            _pool = ThreadPoolExecutor(max_workers=len(blocks), thread_name_prefix="parlmc-round")
-            _pool_size = len(blocks)
-        return [_pool.submit(_run_block, fn, slots, grads, block) for block in blocks]
 
 
 def _fail(i: int, exc: Exception):
@@ -119,7 +100,7 @@ def execute_round(points: np.ndarray, potential, width: int | None = None, out=N
     cap = worker_limit()
     k = min(width, cap or width, n) if potential.pooled else 1
     blocks = [range(n * b // k, n * (b + 1) // k) for b in range(k)]
-    futures = _submit_blocks(potential._gradient, slots, grads, blocks[1:], cap)
+    futures = [_pool.submit(_run_block, potential._gradient, slots, grads, block) for block in blocks[1:]]
     failures = [_run_block(potential._gradient, slots, grads, blocks[0])]
     failures += [f.result() for f in futures]
     failed = [f for f in failures if f is not None]

@@ -211,22 +211,24 @@ def step(kind: str, state: ChainState, config: SamplerConfig, potential: Potenti
     """
     R, Q = effective_rq(kind, config)
     theta, v, h, gamma = state.theta, state.v, config.h, config.gamma
-    work = vars(_workspace).pop("work", {})  # taken while this step runs
-    if noise is None:
-        noise = _draw(kind, config, state.iteration, R, theta, work)
-    bare = kind == "lmc" and not isinstance(noise, noise_mod.VanillaNoiseDraw)
-    xi = np.asarray(noise) if bare else noise.xi_full
-    grads = _refine(kind, theta, v, R, Q, noise, config, potential, work)
-    if kind in KINETIC_KINDS:
-        tail = noise_mod._slot_view(gamma * h * (1.0 - noise.U))[..., None]  # (R, ..., 1)
-        sum_theta = _slot_sum(grads, (h / R) * noise_mod._em1(tail))
-        sum_v = _slot_sum(grads, (h / R) * np.exp(-tail))
-        new_theta = theta + (noise_mod._em1(gamma * h) / gamma) * v - sum_theta + xi
-        v = np.exp(-gamma * h) * v - gamma * sum_v + gamma * noise.xi_bar
-    else:
-        new_theta = theta - (h / R) * _slot_sum(grads) + xi
-        v = None
-    _workspace.work = work
+    work = vars(_workspace).pop("work", {})  # taken while this step runs, put back however it ends
+    try:
+        if noise is None:
+            noise = _draw(kind, config, state.iteration, R, theta, work)
+        bare = kind == "lmc" and not isinstance(noise, noise_mod.VanillaNoiseDraw)
+        xi = np.asarray(noise) if bare else noise.xi_full
+        grads = _refine(kind, theta, v, R, Q, noise, config, potential, work)
+        if kind in KINETIC_KINDS:
+            tail = noise_mod._slot_view(gamma * h * (1.0 - noise.U))[..., None]  # (R, ..., 1)
+            sum_theta = _slot_sum(grads, (h / R) * noise_mod._em1(tail))
+            sum_v = _slot_sum(grads, (h / R) * np.exp(-tail))
+            new_theta = theta + (noise_mod._em1(gamma * h) / gamma) * v - sum_theta + xi
+            v = np.exp(-gamma * h) * v - gamma * sum_v + gamma * noise.xi_bar
+        else:
+            new_theta = theta - (h / R) * _slot_sum(grads) + xi
+            v = None
+    finally:
+        _workspace.work = work
     return ChainState(theta=new_theta, iteration=state.iteration + 1, v=v)
 
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parlmc
 from parlmc import (
@@ -135,10 +137,13 @@ class TestExecuteRound:
                     with self.lock:
                         self.in_flight -= 1
 
-        pot = CountingPotential(2, 0.005)
-        execute_round(np.zeros((8, 2)), pot, width=3)
-        assert pot.peak <= 3
-        assert pot.counter.sequential_rounds == 3
+        for width, cap in ((3, None), (8, "2")):  # the second: a capped round on the grown pool
+            if cap is not None:
+                monkeypatch.setenv("PARLMC_WORKERS", cap)
+            pot = CountingPotential(2, 0.005)
+            execute_round(np.zeros((8, 2)), pot, width=width)
+            assert pot.peak <= min(width, int(cap or width))
+            assert pot.counter.sequential_rounds == math.ceil(8 / width)
 
     def test_worker_env_cap_changes_threads_not_accounting(self, quad_2d, monkeypatch):
         monkeypatch.setenv("PARLMC_WORKERS", "1")
@@ -175,7 +180,7 @@ class TestExecuteRound:
         assert all(pot.threads[i] == caller for i in range(8))
 
     def test_one_pool_across_widths(self, pooled_quad_2d, monkeypatch):
-        monkeypatch.setenv("PARLMC_WORKERS", "2")  # shrink whatever pool earlier tests left
+        monkeypatch.setenv("PARLMC_WORKERS", "2")  # a capped round first: it runs on at most two threads
         execute_round(np.zeros((4, 2)), pooled_quad_2d)
         monkeypatch.delenv("PARLMC_WORKERS")
         for width in (24, 37, 4):
@@ -218,6 +223,69 @@ class TestExecuteRound:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+def _set_cap(mp, cap):
+    if cap is None:
+        mp.delenv("PARLMC_WORKERS", raising=False)
+    else:
+        mp.setenv("PARLMC_WORKERS", cap)
+
+
+@st.composite
+def _rounds(draw):
+    """A pooled oracle and a round on it: R in 1..12, width None or 1..R, the cap, 1..4 chains of dimension 1..4."""
+    R, C, p = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    width = draw(st.none() | st.integers(1, R))
+    cap = draw(st.sampled_from([None, "1", "2", "3"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((p, p))
+    pot = PooledQuadratic(m @ m.T + p * np.eye(p), mean=rng.standard_normal(p))
+    cells = draw(st.sets(st.tuples(st.integers(0, R - 1), st.integers(0, C - 1), st.integers(0, p - 1)), min_size=1))
+    return pot, rng.standard_normal((R, C, p)), width, cap, sorted(cells)
+
+
+class TestRoundProperties:
+    """Drawn shapes, widths and caps: a pooled round keeps its bits and accounting and names its lowest bad slot."""
+
+    @_PROPERTY
+    @given(_rounds())
+    def test_any_width_and_cap_gives_the_serial_bits(self, drawn):
+        pot, points, width, cap, _ = drawn
+        R = len(points)
+        want = execute_round(points, pot, width=1)
+        pot.counter.reset()
+        with pytest.MonkeyPatch.context() as mp:
+            _set_cap(mp, cap)
+            got = execute_round(points, pot, width)
+        assert np.array_equal(got, want)
+        assert pot.counter.snapshot() == {"gradient_evals": R, "sequential_rounds": math.ceil(R / (width or R))}
+
+    @_PROPERTY
+    @given(_rounds())
+    def test_the_lowest_failing_slot_is_named(self, drawn):
+        pot, points, width, cap, cells = drawn
+        marked = points.copy()
+        marked[tuple(np.transpose(cells))] = 1e300  # finite, so each marked slot fails in the oracle, on its block
+
+        def failing(theta, plain=pot._gradient):
+            if (theta == 1e300).any():
+                raise ValueError("marked cell")
+            return plain(theta)
+
+        nan = points.copy()
+        nan[tuple(np.transpose(cells))] = np.nan  # fails validation, before any block runs
+        with pytest.MonkeyPatch.context() as mp:
+            _set_cap(mp, cap)
+            with pytest.raises(RoundExecutionError) as bad_point:
+                execute_round(nan, pot, width)
+            mp.setattr(pot, "_gradient", failing)
+            with pytest.raises(RoundExecutionError) as bad_call:
+                execute_round(marked, pot, width)
+        assert bad_point.value.index == bad_call.value.index == cells[0][0]
 
 
 class RecordingPotential(QuadraticPotential):
@@ -321,17 +389,45 @@ print(len(calls), set(calls) == {threading.get_ident()},
 """
 
 
+_NESTED_ROUNDS = """
+import numpy as np
+from parlmc import ChainState, SamplerConfig, SyntheticDelayPotential, step
+
+cfg = SamplerConfig(h=0.05, n=1, R=2, Q=2, seed=91)
+
+class NestingPotential(SyntheticDelayPotential):
+    def _gradient(self, theta):
+        inner = step("prlmc", ChainState(theta=theta.copy()), cfg, SyntheticDelayPotential(theta.shape[-1], 0.0))
+        return super()._gradient(theta) + 0.5 * inner.theta
+
+theta = np.random.default_rng(92).standard_normal((3, 2))
+print(step("prlmc", ChainState(theta=theta), cfg, NestingPotential(2, 0.0)).theta.tobytes().hex())
+"""
+
+
+def _fresh_python(script, workers=None, timeout=120):
+    """Stdout of `script` in a fresh interpreter (no pool left by an earlier test) at the cap `workers`."""
+    env = {k: v for k, v in os.environ.items() if k != "PARLMC_WORKERS"}
+    if workers is not None:
+        env["PARLMC_WORKERS"] = workers
+    src = str(Path(parlmc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + ("" if not env.get("PYTHONPATH") else ":" + env["PYTHONPATH"])
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestWhichOraclesPool:
     """Only an oracle that declares the pool hands slots to it."""
 
     def test_quadratic_rounds_run_on_the_caller_and_start_no_pool(self):
-        env = {k: v for k, v in os.environ.items() if k != "PARLMC_WORKERS"}
-        src = str(Path(parlmc.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = src + ("" if not env.get("PYTHONPATH") else ":" + env["PYTHONPATH"])
-        done = subprocess.run([sys.executable, "-c", _INLINE_ROUNDS], env=env, capture_output=True, text=True,
-                              timeout=120)  # a fresh interpreter: no pool left by an earlier test
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["24", "True", "0"]
+        assert _fresh_python(_INLINE_ROUNDS).split() == ["24", "True", "0"]
+
+    @pytest.mark.parametrize("workers", [None, "2"])
+    def test_a_round_nested_in_a_pooled_round_finishes(self, workers):
+        # The outer round's block 1 runs on a pool thread, and its oracle's step submits rounds from there:
+        # a bounded pool would queue them behind the block that waits for them.
+        assert _fresh_python(_NESTED_ROUNDS, workers, timeout=60) == _fresh_python(_NESTED_ROUNDS, "1", timeout=60)
 
     def test_uncapped_logistic_round_uses_the_pool(self, logistic_small, monkeypatch):
         monkeypatch.delenv("PARLMC_WORKERS", raising=False)

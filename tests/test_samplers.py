@@ -21,6 +21,7 @@ from parlmc import (
     GaussianSummary,
     PreconditionWarning,
     QuadraticPotential,
+    RoundExecutionError,
     SamplerConfig,
     empirical_summary,
     psi,
@@ -29,6 +30,7 @@ from parlmc import (
     w2_gaussian,
 )
 from parlmc import noise as noise_mod
+from parlmc import samplers as samplers_mod
 from parlmc.samplers import KINDS, KINETIC_KINDS
 
 try:
@@ -744,6 +746,15 @@ class TestStepWorkspace:
                      _quad(np.linspace(1.0, 10.0, 3)))
         assert len(nesting.inner) == 1 + (cfg.Q - 1) * cfg.R
         assert all(np.array_equal(s.theta, inner.theta) for s in nesting.inner)
+
+    def test_a_step_that_raises_puts_the_workspace_back(self):
+        cfg, pot = _workspace_cfg("prlmc"), _quad(np.linspace(1.0, 10.0, 3))
+        step("prlmc", ChainState(theta=np.zeros((5, 3))), cfg, pot)
+        work = samplers_mod._workspace.work
+        points = work["points"]
+        with pytest.raises(RoundExecutionError):
+            step("prlmc", ChainState(theta=np.full((5, 3), np.nan)), cfg, pot)
+        assert vars(samplers_mod._workspace).get("work") is work and work["points"] is points
 
     def test_shape_changes_give_fresh_process_bits(self, tmp_path):
         fresh = {}
