@@ -41,22 +41,8 @@ _POTENTIAL_KEYS = {
     "synthetic_delay": ({"kind", "dimension", "delay_seconds"}, ("dimension", "delay_seconds")),
 }
 _floats = partial(np.asarray, dtype=float)
-_EXPERIMENT_KEYS = {
-    "potential",
-    "sampler",
-    "h",
-    "n",
-    "R",
-    "Q",
-    "gamma",
-    "seed",
-    "parallel_width",
-    "chains",
-    "record_every",
-    "theta0",
-    "v0",
-    "w2_init",
-}
+_EXPERIMENT_KEYS = {"potential", "sampler", "h", "n", "R", "Q", "gamma", "seed", "parallel_width", "chains",
+                    "record_every", "theta0", "v0", "w2_init"}
 
 
 def _require(cond, message):
@@ -147,27 +133,15 @@ def _quadratic_metric(potential, config, kind, n_chains, w2_init, start):
         f_gap = float(potential.value(start) - potential.value(spec.minimizer))
 
     def metric(iteration, state):
-        row = {}
         if n_chains >= spec.dimension + 1:
-            summary = empirical_summary(np.atleast_2d(state.theta))
-            row["w2"] = w2_gaussian(summary, target)
+            row = {"w2": w2_gaussian(empirical_summary(np.atleast_2d(state.theta)), target)}
         else:
-            row["dist_to_mean"] = float(
-                np.sqrt(np.sum((state.theta - potential.mean) ** 2, axis=-1)).max()
-            )
-        if kinetic:
-            bound = theorem2_bound(
-                h=config.h, Q=eff_q, R=eff_r, m=spec.strong_convexity, M=spec.smoothness,
-                gamma=config.gamma, p=spec.dimension, w2_init=w2_init, f_gap=f_gap, n=iteration,
-            )
-        else:
-            bound = theorem1_bound(
-                h=config.h, Q=eff_q, R=eff_r, m=spec.strong_convexity, M=spec.smoothness,
-                p=spec.dimension, w2_init=w2_init, n=iteration,
-            )
-        row["bound_total"] = bound.total
-        row["bound_initialization"] = bound.initialization_term
-        row["bound_discretization"] = bound.discretization_term
+            row = {"dist_to_mean": float(np.sqrt(np.sum((state.theta - potential.mean) ** 2, axis=-1)).max())}
+        shared = dict(h=config.h, Q=eff_q, R=eff_r, m=spec.strong_convexity, M=spec.smoothness, p=spec.dimension,
+                      w2_init=w2_init, n=iteration)
+        bound = theorem2_bound(**shared, gamma=config.gamma, f_gap=f_gap) if kinetic else theorem1_bound(**shared)
+        row.update(bound_total=bound.total, bound_initialization=bound.initialization_term,
+                   bound_discretization=bound.discretization_term)
         return row
 
     return metric
@@ -181,15 +155,9 @@ def _drift_metric(n_chains, dimension):
         if n_chains < dimension + 1:
             return {}
         summary = empirical_summary(np.atleast_2d(state.theta))
-        if previous:
-            drift = float(
-                np.linalg.norm(summary.mean - previous["mean"])
-                + np.linalg.norm(summary.covariance - previous["cov"])
-            )
-        else:
-            drift = 0.0
-        previous["mean"] = summary.mean
-        previous["cov"] = summary.covariance
+        drift = 0.0 if not previous else float(np.linalg.norm(summary.mean - previous["mean"])
+                                               + np.linalg.norm(summary.covariance - previous["cov"]))
+        previous.update(mean=summary.mean, cov=summary.covariance)
         return {"moment_drift": drift}
 
     return metric

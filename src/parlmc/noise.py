@@ -70,6 +70,15 @@ def _philox_key(seed: int) -> np.ndarray:
     return key
 
 
+@lru_cache(maxsize=64)
+def _strata(R: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (0, 1, .., R-1) and its lower stratum edges (0, 1, .., R-1) / R, made once per R."""
+    index = np.arange(R, dtype=float)
+    edges = index / R
+    index.flags.writeable = edges.flags.writeable = False
+    return index, edges
+
+
 def stream(seed: int, iteration: int, role: int, work: dict | None = None) -> np.random.Generator:
     """Counter-based generator keyed by (seed, iteration, role).
 
@@ -162,10 +171,9 @@ def draw_midpoints(R: int, rng: np.random.Generator, size: int | None = None) ->
     if R < 1:
         raise ConfigurationError(f"number of strata R must be >= 1, got {R}")
     shape = (R,) if size is None else (int(size), R)
-    u = (np.arange(R) + rng.random(shape)) / R
-    while np.any(np.diff(u, axis=-1) <= 0):
-        tied = np.diff(u, axis=-1) <= 0
-        u[..., 1:] = np.where(tied, np.nextafter(u[..., :-1], np.inf), u[..., 1:])
+    u = (_strata(R)[0] + rng.random(shape)) / R
+    while not (rising := u[..., 1:] > u[..., :-1]).all():
+        u[..., 1:] = np.where(rising, u[..., 1:], np.nextafter(u[..., :-1], np.inf))
     return u
 
 
@@ -214,8 +222,13 @@ def _take(work: dict | None, name: str, shape: tuple, dtype=float) -> np.ndarray
 
 def _slot_view(a: np.ndarray, *axes: int) -> np.ndarray:
     """View of chain-major `a` with its negative `axes` (default -1) first, in order (np.moveaxis costs ~7 us)."""
-    front = tuple(a.ndim + ax for ax in axes or (-1,))
-    return a.transpose(front + tuple(i for i in range(a.ndim) if i not in front))
+    return a.transpose(_slot_order(a.ndim, axes or (-1,)))
+
+
+@lru_cache(maxsize=64)
+def _slot_order(ndim: int, axes: tuple) -> tuple:
+    front = tuple(ndim + ax for ax in axes)
+    return front + tuple(i for i in range(ndim) if i not in front)
 
 
 def _drift_walker(R: int, h: float, U, gamma: float | None = None, work: dict | None = None):
@@ -237,7 +250,7 @@ def _drift_walker(R: int, h: float, U, gamma: float | None = None, work: dict | 
     No term is a cancelling difference.  Every operation is elementwise over
     chains, so the bits do not depend on how an ensemble is split.
     """
-    cell = h * _slot_view(np.asarray(U, dtype=float) - np.arange(R) / R)[..., None]  # (R, ..., 1)
+    cell = h * _slot_view(np.asarray(U, dtype=float) - _strata(R)[1])[..., None]  # (R, ..., 1)
     if gamma is None:
         scale, own = h / R, cell
     else:
@@ -275,13 +288,18 @@ def _time_grid(R: int, h: float, U, size: int | None = None) -> tuple[np.ndarray
         raise ConfigurationError(f"midpoints U of shape {u.shape} do not hold R = {R} midpoints per chain")
     if size is not None and u.ndim == 1:
         u = np.broadcast_to(u, (int(size),) + u.shape).copy()
-    return u, np.concatenate([u * h, np.full(u.shape[:-1] + (1,), float(h))], axis=-1)
+    times = np.empty(u.shape[:-1] + (R + 1,))
+    np.multiply(u, h, out=times[..., :R])
+    times[..., R] = h
+    return u, times
 
 
 def _gaps(times: np.ndarray) -> np.ndarray:
     """Lengths of the R+1 intervals between consecutive path times, from 0."""
-    dt = np.diff(times, axis=-1, prepend=0.0)
-    if np.any(dt < 0):
+    dt = np.empty(times.shape)
+    dt[..., 0] = times[..., 0]
+    np.subtract(times[..., 1:], times[..., :-1], out=dt[..., 1:])
+    if (dt < 0).any():
         raise InternalError("midpoint times are not nondecreasing")
     return dt
 

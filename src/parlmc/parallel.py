@@ -61,6 +61,16 @@ def _run_block(fn, slots, grads, block):
     return None
 
 
+def _repeat_view(a: np.ndarray, n: int) -> np.ndarray:
+    """Read-only (n, *a.shape) view of `a` in every slot: stride 0 over one C-contiguous memory (0.5-1 us, against
+    3 us for np.broadcast_to, which serves any other input)."""
+    if type(a) is not np.ndarray or not a.flags.c_contiguous:
+        return np.broadcast_to(a, (n,) + np.shape(a))
+    view = np.ndarray((n,) + a.shape, a.dtype, a, 0, (0,) + a.strides)
+    view.flags.writeable = False
+    return view
+
+
 def _fail(i: int, exc: Exception):
     raise RoundExecutionError(f"gradient failed at round slot {i}: {exc}", index=i) from exc
 
@@ -75,8 +85,8 @@ def execute_round(points: np.ndarray, potential, width: int | None = None, out=N
     thread (the only one if ``potential.pooled`` is false: no pool is touched),
     into `out` (floats shaped like `points`) if given, else a new array.
     A round whose slots are one memory (``points.strides[0] == 0``) is validated
-    and evaluated once, on the caller, and returns a read-only ``np.broadcast_to``
-    of that gradient, ignoring `out`.  The counter gains the nominal +R
+    and evaluated once, on the caller, and returns a read-only stride-0
+    view of that gradient, ignoring `out`.  The counter gains the nominal +R
     evaluations and +ceil(R / width) sequential rounds either way.
     """
     points = np.asarray(points, dtype=float)
@@ -99,13 +109,15 @@ def execute_round(points: np.ndarray, potential, width: int | None = None, out=N
     grads = np.empty(slots.shape) if out is None or slots is not points else out
     cap = worker_limit()
     k = min(width, cap or width, n) if potential.pooled else 1
-    blocks = [range(n * b // k, n * (b + 1) // k) for b in range(k)]
-    futures = [_pool.submit(_run_block, potential._gradient, slots, grads, block) for block in blocks[1:]]
-    failures = [_run_block(potential._gradient, slots, grads, blocks[0])]
-    failures += [f.result() for f in futures]
-    failed = [f for f in failures if f is not None]
+    if k == 1:
+        failed = _run_block(potential._gradient, slots, grads, range(n))
+    else:
+        blocks = [range(n * b // k, n * (b + 1) // k) for b in range(k)]
+        futures = [_pool.submit(_run_block, potential._gradient, slots, grads, block) for block in blocks[1:]]
+        failures = [_run_block(potential._gradient, slots, grads, blocks[0])] + [f.result() for f in futures]
+        failed = min((f for f in failures if f is not None), key=lambda f: f[0], default=None)
     if failed:
-        _fail(*min(failed, key=lambda f: f[0]))
+        _fail(*failed)
     potential.counter.add_evals(R)
     potential.counter.add_rounds(math.ceil(R / width))
-    return grads if slots is points else np.broadcast_to(grads[0], points.shape)
+    return grads if slots is points else _repeat_view(grads[0], R)

@@ -105,7 +105,7 @@ class Potential:
                 f"point has trailing dimension {theta.shape[-1] if theta.ndim else 0}, "
                 f"potential expects {self.spec.dimension}"
             )
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise DomainError("gradient requested at a non-finite point")
         return theta
 
@@ -159,6 +159,8 @@ class QuadraticPotential(Potential):
         return cls(np.diag(np.asarray(diagonal, dtype=float)), mean)
 
     def _gradient(self, theta):
+        if theta.size < 1024:  # a few chains: a fresh difference costs less than the scratch lookup
+            return (theta - self.mean) @ self.precision
         return np.subtract(theta, self.mean, out=_take(vars(self._scratch), "d", theta.shape)) @ self.precision
 
     def _value(self, theta):

@@ -65,7 +65,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from .errors import ConfigurationError, DivergenceError
-from .parallel import execute_round
+from .parallel import _repeat_view, execute_round
 from .potentials import Potential
 from .tuning import check_preconditions
 
@@ -171,7 +171,7 @@ def _refine(kind, theta, v, R, Q, noise, config, potential, work):
     """
     width = config.parallel_width
     shape = (R,) + theta.shape
-    grads = execute_round(np.broadcast_to(theta, shape), potential, width)
+    grads = execute_round(_repeat_view(theta, R), potential, width)
     if Q > 1:
         h = config.h
         gamma = config.gamma if kind in KINETIC_KINDS else None
@@ -253,12 +253,7 @@ class RunTrace:
     _NONDETERMINISTIC = ("elapsed_seconds",)
 
     def csv_columns(self) -> list[str]:
-        keys: list[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in keys and key not in self._NONDETERMINISTIC:
-                    keys.append(key)
-        return keys
+        return list(dict.fromkeys(key for row in self.rows for key in row if key not in self._NONDETERMINISTIC))
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -368,7 +363,7 @@ def run(
     try:
         for _ in range(config.n):
             new = step(kind, state, config, potential)
-            norms = np.atleast_1d(np.sqrt(np.sum(new.theta**2, axis=-1)))
+            norms = np.sqrt(np.einsum("...i,...i->...", new.theta, new.theta)).reshape(-1)
             if not norms.max() <= threshold:  # true for NaN too
                 chain = int(np.argmin(norms <= threshold))  # the first False: the lowest offender
                 norm = float(norms[chain]) if np.isfinite(norms[chain]) else float("inf")

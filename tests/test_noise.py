@@ -6,6 +6,8 @@ scipy.integrate.quad against the defining integrals and frozen here.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from parlmc import (
@@ -19,7 +21,7 @@ from parlmc import (
     psi,
     stream,
 )
-from parlmc.errors import ConfigurationError
+from parlmc.errors import ConfigurationError, InternalError
 from parlmc.noise import ROLE_MIDPOINTS, ROLE_PATH, _drift_walker
 
 # Frozen quadrature-oracle values (mpmath, 40 digits).
@@ -115,6 +117,23 @@ class TestMidpoints:
     def test_zero_strata_rejected(self):
         with pytest.raises(ConfigurationError):
             draw_midpoints(0, stream(0, 0, ROLE_MIDPOINTS))
+
+    @pytest.mark.parametrize("R", [3, 9])
+    @pytest.mark.parametrize("size", [None, 2])
+    def test_stratum_boundary_collisions_are_repaired(self, R, size):
+        # (r + (1 - 2^-53)) / R rounds to (r + 1) / R at these R: U_r and U_{r+1} start out equal.
+        top = 1.0 - 2.0**-53
+        assert (0 + top) / R == 1 / R and (2 + top) / R == 3 / R
+
+        class Colliding:
+            def random(self, shape):
+                return np.resize(np.where(np.arange(R) % 2 == 0, top, 0.0), shape)
+
+        u = draw_midpoints(R, Colliding(), size=size)
+        assert u.shape == ((R,) if size is None else (size, R))
+        assert np.all(u[..., 1:] > u[..., :-1])
+        r = np.arange(R)
+        assert np.all(u >= r / R) and np.all(u <= (r + 1) / R)
 
 
 class TestVanillaCoefficients:
@@ -352,6 +371,47 @@ def test_draws_reject_midpoints_of_another_width(R):
         draw_kinetic_noise(R, 2.0, 0.1, 1, U, stream(17, 0, ROLE_PATH))
     with pytest.raises(ConfigurationError, match=f"R = {R}"):
         kinetic_covariance(R, 2.0, 0.1, U[0])
+
+
+@pytest.mark.parametrize("U", [[0.6, 0.3], [[0.1, 0.4], [0.2, 0.15]]])
+def test_draws_reject_decreasing_midpoints(U):
+    # A user-supplied U out of order would give a negative gap: an internal invariant, loud in both draws.
+    with pytest.raises(InternalError, match="nondecreasing"):
+        draw_vanilla_noise(2, 0.1, 3, np.array(U), stream(18, 0, ROLE_PATH))
+    with pytest.raises(InternalError, match="nondecreasing"):
+        draw_kinetic_noise(2, 2.0, 0.1, 3, np.array(U), stream(18, 0, ROLE_PATH))
+
+
+@st.composite
+def _walks(draw):
+    """R in 1..40, h, gamma None or gamma h in 1e-6..50, and 1 or 2 chains of stratified U with boundary ties."""
+    R, C = draw(st.integers(1, 40)), draw(st.integers(1, 2))
+    h = draw(st.floats(1e-3, 2.0))
+    gamma = draw(st.none() | st.floats(1e-6, 50.0).map(lambda gh: gh / h))
+    # Offsets of 0 and 1 put U_r on its stratum's edges, so neighbours tie at (r + 1) / R.
+    offsets = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=C * R, max_size=C * R))
+    U = (np.arange(R) + np.reshape(offsets, (C, R))) / R
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return R, h, gamma, U, rng.standard_normal((R, C, 3))
+
+
+class TestDriftWalkerProperty:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_walks())
+    def test_walk_equals_the_scalar_weight_sums(self, drawn):
+        R, h, gamma, U, G = drawn
+        got = _drift_walker(R, h, U, gamma)(G)
+        want, scale = np.zeros_like(G), np.zeros_like(G)
+        for c, u in enumerate(U):
+            for r in range(1, R + 1):
+                for j in range(1, r + 1):
+                    w = h * coeff_a_vanilla(R, u, j, r) if gamma is None else coeff_b_kinetic(R, gamma, h, u, j, r)
+                    cell = (h / R) * min(float(j), R * u[r - 1]) - (j - 1) * h / R  # the weight's integration range
+                    want[r - 1, c] += w * G[j - 1, c]
+                    scale[r - 1, c] += cell * abs(G[j - 1, c])
+        # Relative to the terms' scale: the scalar kinetic form subtracts two numbers of size `cell` (the
+        # walk does not), and its rounding is relative to them, not to their difference.
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def test_streams_differ_across_keys():

@@ -155,6 +155,27 @@ class TestExecuteRound:
         with pytest.raises(ConfigurationError):
             execute_round(np.ones((4, 2)), quad_2d, width=4)
 
+    @pytest.mark.parametrize("bad", ["zero", "0", " "])
+    def test_an_invalid_cap_raises_on_every_round(self, quad_2d, monkeypatch, bad):
+        # A parsed cap may be remembered, but the variable is read on every round: a value that turns bad
+        # after a good one raises, and so does every later round while it stays bad.
+        one_chain = parlmc.SamplerConfig(h=0.01, n=1, R=4, Q=3, seed=7)
+        state = parlmc.ChainState(theta=np.array([0.3, -0.2]))
+        for run_once in (lambda: execute_round(np.ones((4, 2)), quad_2d, width=4),
+                         lambda: parlmc.step("prlmc", state, one_chain, quad_2d)):
+            monkeypatch.setenv("PARLMC_WORKERS", "2")
+            run_once()
+            run_once()  # the good value, read again
+            monkeypatch.setenv("PARLMC_WORKERS", bad)
+            for _ in range(2):
+                with pytest.raises(ConfigurationError, match="PARLMC_WORKERS"):
+                    run_once()
+            monkeypatch.setenv("PARLMC_WORKERS", "1")
+            run_once()
+            monkeypatch.setenv("PARLMC_WORKERS", bad)
+            with pytest.raises(ConfigurationError, match="PARLMC_WORKERS"):
+                run_once()
+
     def test_first_block_runs_on_the_caller(self, monkeypatch):
         monkeypatch.delenv("PARLMC_WORKERS", raising=False)
 

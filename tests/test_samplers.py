@@ -756,6 +756,26 @@ class TestStepWorkspace:
             step("prlmc", ChainState(theta=np.full((5, 3), np.nan)), cfg, pot)
         assert vars(samplers_mod._workspace).get("work") is work and work["points"] is points
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_strided_or_read_only_chain_gives_the_contiguous_bits(self, kind):
+        # One chain's round 0 repeats theta R times as a read-only stride-0 view; a theta that is not one
+        # contiguous block, or is read-only, must give the same bits and share no memory with the result.
+        cfg, pot = _workspace_cfg(kind), _quad(np.linspace(1.0, 10.0, 3))
+        big = np.random.default_rng(87).standard_normal((2, 6))
+        theta, v = big[0, ::2], big[1, ::2]  # strided views
+        frozen = [a.copy() for a in (theta, v)]
+        for a in frozen:
+            a.flags.writeable = False
+        kinetic = kind in KINETIC_KINDS
+        want = step(kind, ChainState(theta=theta.copy(), v=v.copy() if kinetic else None), cfg, pot)
+        for th, vel in ((theta, v), tuple(frozen)):
+            got = step(kind, ChainState(theta=th, v=vel if kinetic else None), cfg, pot)
+            assert np.array_equal(got.theta, want.theta)
+            assert not kinetic or np.array_equal(got.v, want.v)
+            scratch = [a for a in samplers_mod._workspace.work.values() if isinstance(a, np.ndarray)]
+            for out in (got.theta, got.v) if kinetic else (got.theta,):
+                assert not any(np.shares_memory(out, a) for a in (big, *frozen, *scratch))
+
     def test_shape_changes_give_fresh_process_bits(self, tmp_path):
         fresh = {}
         for R, C in ((37, 8), (4, 3)):

@@ -12,8 +12,10 @@ runs in blocks of ``--block`` outer iterations, each block continuing the chains
 where the previous one left them, as a user who resumes chains does.  After
 ``--warmup`` steps it runs ``--steps`` more and reads ``getrusage`` of the
 whole process around them; it prints the median wall ms per step over the
-blocks, and the minor faults and system ms per step, then the same as one
-JSON line.
+blocks, their window floor (the median over 10 consecutive groups of blocks
+of each group's fastest block: the statistic perfbench reports for
+``single-chain``), and the minor faults and system ms per step, then the
+same as one JSON line.
 
 The process pins itself to one CPU (``--cpu``) and sets ``PARLMC_WORKERS``
 and ``OPENBLAS_NUM_THREADS`` in its own environment before numpy loads, so
@@ -34,6 +36,16 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
+
+WINDOWS = 10
+
+
+def window_floor(values, windows=WINDOWS):
+    """Median over `windows` consecutive groups of `values` of each group's minimum (the plain median if too few)."""
+    size = len(values) / windows
+    if size < 1:
+        return statistics.median(values)
+    return statistics.median(min(values[round(k * size):round((k + 1) * size)]) for k in range(windows))
 
 
 def main(argv=None) -> int:
@@ -96,11 +108,12 @@ def main(argv=None) -> int:
         "kind": args.kind, "target": args.target, "R": args.R, "Q": args.Q, "chains": args.chains, "p": args.p,
         "workers": args.workers, "steps": steps, "block": args.block,
         "wall_ms": 1e3 * statistics.median(walls) / args.block,
+        "floor_ms": 1e3 * window_floor(walls) / args.block,
         "faults": (after.ru_minflt - before.ru_minflt) / steps,
         "sys_ms": 1e3 * (after.ru_stime - before.ru_stime) / steps,
     }
     print(f"{args.kind} {args.target} R={args.R} Q={args.Q} C={args.chains} p={args.p} block={args.block}: "
-          f"wall {out['wall_ms']:.2f} ms/step, "
+          f"wall {out['wall_ms']:.4f} ms/step (window floor {out['floor_ms']:.4f}), "
           f"faults {out['faults']:.0f}/step, sys {out['sys_ms']:.2f} ms/step")
     print(json.dumps(out))
     return 0
