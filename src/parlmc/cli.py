@@ -327,12 +327,12 @@ def cmd_check(args) -> int:
     potential = build_potential(raw["potential"])
     config = _sampler_config(raw, args.seed, args.parallel_width)
     kind = raw["sampler"]
-    regime, effective, checks = _preconditions(kind, config, potential.spec)
+    regime, R, Q, checks = _preconditions(kind, config, potential.spec)
     report = {
         "sampler": kind,
         "regime": regime,
-        "effective_R": effective.R,
-        "effective_Q": effective.Q,
+        "effective_R": R,
+        "effective_Q": Q,
         "checks": [c.to_dict() for c in checks],
         "all_passed": all(c.passed for c in checks),
     }

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .tuning import KINETIC_STABILITY_MAX, VANILLA_STABILITY_MAX, kinetic_stability_lhs, vanilla_stability_lhs
+from .tuning import _checks
 
 _SYM_TOL = 1e-10
 _EIG_TOL = 1e-10
@@ -131,7 +131,7 @@ def theorem1_bound(
         initialization_term=init,
         discretization_term=disc,
         total=init + disc,
-        precondition_ok=vanilla_stability_lhs(hbar, Q, R, kappa) <= VANILLA_STABILITY_MAX,
+        precondition_ok=all(c.passed for c in _checks("vanilla", h, R, Q, None, m, M)),
         terms={"initialization": init, "discretization": disc},
     )
 
@@ -165,13 +165,12 @@ def theorem2_bound(
     t2 = 1.1 * math.sqrt(decay * f_gap / m)
     t3 = 80.11 * math.sqrt(hbar**3 / R**2 + hbar ** (2 * Q - 1)) * math.sqrt(p / m)
     t4 = 4.33 * math.sqrt(hbar**6 / R**3 + hbar ** (4 * Q - 2)) * math.sqrt(kappa * p / m)
-    ok = gamma >= 5 * M and kinetic_stability_lhs(hbar, Q, R, kappa) <= KINETIC_STABILITY_MAX
     return BoundEvaluation(
         theorem="T2",
         initialization_term=t1 + t2,
         discretization_term=t3 + t4,
         total=t1 + t2 + t3 + t4,
-        precondition_ok=ok,
+        precondition_ok=all(c.passed for c in _checks("kinetic", h, R, Q, gamma, m, M)),
         terms={
             "contraction": t1,
             "initial_gap": t2,

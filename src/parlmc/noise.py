@@ -97,19 +97,14 @@ def stream(seed: int, iteration: int, role: int, work: dict | None = None) -> np
 
 
 def psi(x):
-    """Exponential-integrator weight (1 - e^{-x}) / x for x >= 0.
+    """Exponential-integrator weight (1 - e^{-x}) / x for x >= 0, with psi(0) = 1.
 
-    Continuous at zero with psi(0) = 1; switches to a 4-term Taylor series
-    below 1e-4 to avoid cancellation in 1 - e^{-x}.
+    One quotient: 1 - e^{-x} is expm1-accurate, so there is no cancellation to guard against near zero.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise DomainError("psi is defined for nonnegative arguments only")
-    small = arr < 1e-4
-    safe = np.where(small, 1.0, arr)
-    direct = -np.expm1(-safe) / safe
-    series = 1.0 - arr / 2.0 + arr * arr / 6.0 - arr**3 / 24.0
-    out = np.where(small, series, direct)
+    out = np.divide(_em1(arr), arr, out=np.ones_like(arr), where=arr != 0)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -188,8 +183,9 @@ def coeff_a_vanilla(R: int, U, j: int, r: int) -> float:
 def coeff_b_kinetic(R: int, gamma: float, h: float, U, j: int, r: int) -> float:
     """Kinetic inner-round weight: integral of 1 - e^{-gamma (U_r h - s)}.
 
-    Integration runs over [(j-1)h/R, (h/R) min(j, R U_r)]; the closed form is
-    (u2 - u1) - e^{-gamma (U_r h - u2)} (1 - e^{-gamma (u2 - u1)}) / gamma.
+    Integration runs over [u1, u2] = [(j-1)h/R, (h/R) min(j, R U_r)]; with
+    x = gamma (u2 - u1) and a = gamma (U_r h - u2) the closed form is
+    (g1(x) + (1 - e^{-a}) (1 - e^{-x})) / gamma, which has no cancelling difference.
     """
     if not 1 <= j <= r <= R:
         raise IndexError(f"need 1 <= j <= r <= R, got j={j}, r={r}, R={R}")
@@ -199,8 +195,8 @@ def coeff_b_kinetic(R: int, gamma: float, h: float, U, j: int, r: int) -> float:
     u_r = float(u[..., r - 1])
     u1 = (j - 1) * h / R
     u2 = (h / R) * min(float(j), R * u_r)
-    length = u2 - u1
-    return float(length - np.exp(-gamma * (u_r * h - u2)) * _em1(gamma * length) / gamma)
+    x = gamma * (u2 - u1)
+    return float((_g1(x) + _em1(gamma * (u_r * h - u2)) * _em1(x)) / gamma)
 
 
 def _take(work: dict | None, name: str, shape: tuple, dtype=float) -> np.ndarray:

@@ -58,7 +58,7 @@ import io
 import json
 import threading
 import warnings as _warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from time import perf_counter
 
 import numpy as np
@@ -67,7 +67,7 @@ from . import noise as noise_mod
 from .errors import ConfigurationError, DivergenceError
 from .parallel import _repeat_view, execute_round
 from .potentials import Potential
-from .tuning import check_preconditions
+from .tuning import _checks
 
 VANILLA_KINDS = ("lmc", "rlmc", "prlmc")
 KINETIC_KINDS = ("rklmc", "prklmc")
@@ -132,20 +132,20 @@ class ChainState:
 
 
 def effective_rq(kind: str, config: SamplerConfig) -> tuple[int, int]:
-    """(R, Q) actually used by a kind; the sequential baselines pin R=1.  Rejects an unknown kind."""
+    """(R, Q) actually used by a kind; the sequential baselines pin R=1.  Rejects an unknown kind, or a kinetic
+    one without gamma."""
     if kind not in KINDS:
         raise ConfigurationError(f"unknown sampler kind {kind!r}; choose from {KINDS}")
+    if config.gamma is None and kind in KINETIC_KINDS:
+        raise ConfigurationError(f"{kind} requires a friction coefficient gamma")
     return _PINNED_RQ.get(kind, (config.R, config.Q))
 
 
 def _preconditions(kind: str, config: SamplerConfig, spec):
-    """Regime, config at the effective (R, Q), and its stability checks; `run` and ``parlmc check`` share it."""
+    """Regime, effective (R, Q) and the stability checks there; `run` and ``parlmc check`` share it."""
     R, Q = effective_rq(kind, config)
     regime = "kinetic" if kind in KINETIC_KINDS else "vanilla"
-    if regime == "kinetic" and config.gamma is None:
-        raise ConfigurationError(f"{kind} requires a friction coefficient gamma")
-    effective = replace(config, R=R, Q=Q)
-    return regime, effective, check_preconditions(effective, spec, regime)
+    return regime, R, Q, _checks(regime, config.h, R, Q, config.gamma, spec.strong_convexity, spec.smoothness)
 
 
 def _draw(kind, config, k, R, theta, work):
@@ -211,6 +211,8 @@ def step(kind: str, state: ChainState, config: SamplerConfig, potential: Potenti
     """
     R, Q = effective_rq(kind, config)
     theta, v, h, gamma = state.theta, state.v, config.h, config.gamma
+    if v is None and kind in KINETIC_KINDS:
+        raise ConfigurationError(f"{kind} requires a velocity: the state's v is None")
     work = vars(_workspace).pop("work", {})  # taken while this step runs, put back however it ends
     try:
         if noise is None:
@@ -318,7 +320,7 @@ def run(
     with its iteration, the lowest such chain's norm (inf if non-finite) and
     the partial trace, whose final_state is the last accepted state.
     """
-    _, _, checks = _preconditions(kind, config, potential.spec)
+    checks = _preconditions(kind, config, potential.spec)[3]
     if n_chains < 1:
         raise ConfigurationError("n_chains must be >= 1")
     if record_every is None:

@@ -24,7 +24,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigurationError
-from .potentials import PotentialSpec
 
 VANILLA_STABILITY_MAX = 0.1
 KINETIC_STABILITY_MAX = 1e-6
@@ -103,52 +102,34 @@ def kinetic_stability_lhs(hbar: float, Q: int, R: int, kappa: float) -> float:
     return kappa * (hbar**6 / R**3 + hbar ** (4 * Q - 2))
 
 
-def check_preconditions(config, spec, regime: str) -> list[ConditionCheck]:
-    """Evaluate the stability inequalities for a sampler configuration.
+def _check(name: str, value: float, threshold: float, at_most: bool) -> ConditionCheck:
+    """The check value <= threshold (`at_most`) or value >= threshold, its margin positive when it passes."""
+    if at_most:
+        return ConditionCheck(name, value, threshold, value <= threshold, threshold - value)
+    return ConditionCheck(name, value, threshold, value >= threshold, value - threshold)
 
-    `config` has h, R, Q (and gamma for the kinetic regime), as a SamplerConfig
-    or a TunePlan does; `spec` has strong_convexity and smoothness, as a
-    PotentialSpec does.  Nothing is enforced; the caller decides whether a
-    failed check warns or aborts.
+
+def _checks(regime: str, h: float, R: int, Q: int, gamma: float | None, m: float, M: float) -> list[ConditionCheck]:
+    """The stability inequalities of `regime` at step h, width R, depth Q and friction gamma, for an
+    m-strongly convex, M-smooth potential: vanilla at hbar = M h; kinetic gamma >= 5 M, then at hbar = gamma h.
+
+    parlmc's one statement of the rules: tuning, bounds, `run` and ``parlmc check`` all call it.
     """
-    m, M = spec.strong_convexity, spec.smoothness
     kappa = M / m
-    checks = []
     if regime == "vanilla":
-        lhs = vanilla_stability_lhs(M * config.h, config.Q, config.R, kappa)
-        checks.append(
-            ConditionCheck(
-                name="vanilla_stability",
-                value=lhs,
-                threshold=VANILLA_STABILITY_MAX,
-                passed=lhs <= VANILLA_STABILITY_MAX,
-                margin=VANILLA_STABILITY_MAX - lhs,
-            )
-        )
-    elif regime == "kinetic":
-        gamma = config.gamma
-        checks.append(
-            ConditionCheck(
-                name="friction_lower_bound",
-                value=float(gamma),
-                threshold=5 * M,
-                passed=gamma >= 5 * M,
-                margin=float(gamma) - 5 * M,
-            )
-        )
-        lhs = kinetic_stability_lhs(gamma * config.h, config.Q, config.R, kappa)
-        checks.append(
-            ConditionCheck(
-                name="kinetic_stability",
-                value=lhs,
-                threshold=KINETIC_STABILITY_MAX,
-                passed=lhs <= KINETIC_STABILITY_MAX,
-                margin=KINETIC_STABILITY_MAX - lhs,
-            )
-        )
-    else:
-        raise ConfigurationError(f"unknown regime {regime!r}")
-    return checks
+        return [_check("vanilla_stability", vanilla_stability_lhs(M * h, Q, R, kappa), VANILLA_STABILITY_MAX, True)]
+    if regime == "kinetic":
+        return [_check("friction_lower_bound", float(gamma), 5 * M, False),
+                _check("kinetic_stability", kinetic_stability_lhs(gamma * h, Q, R, kappa), KINETIC_STABILITY_MAX, True)]
+    raise ConfigurationError(f"unknown regime {regime!r}")
+
+
+def check_preconditions(config, spec, regime: str) -> list[ConditionCheck]:
+    """The stability checks of `config` (h, R, Q, and gamma when kinetic, as a SamplerConfig or TunePlan has)
+    for `spec` (strong_convexity and smoothness, as a PotentialSpec has).  The caller decides whether a failed
+    check warns or aborts."""
+    return _checks(regime, config.h, config.R, config.Q, getattr(config, "gamma", None), spec.strong_convexity,
+                   spec.smoothness)
 
 
 def _iteration_count(scale: float, log_const: float, req: TuneRequest) -> tuple[int, list[str]]:
@@ -164,6 +145,12 @@ def _iteration_count(scale: float, log_const: float, req: TuneRequest) -> tuple[
     return n, warnings
 
 
+def _plan(req: TuneRequest, R: int, Q: int, h: float, n: int, gamma: float | None, warnings: list[str]) -> TunePlan:
+    """The plan at (R, Q, h, n, gamma): n Q sequential rounds, n Q R gradient evaluations and its stability checks."""
+    return TunePlan(req.regime, R, Q, h, n, gamma, n * Q, n * Q * R, warnings,
+                    _checks(req.regime, h, R, Q, gamma, req.m, req.M))
+
+
 def tune_vanilla(req: TuneRequest) -> TunePlan:
     """Unlimited-units parameter choice for the vanilla sampler."""
     if req.regime != "vanilla":
@@ -172,33 +159,18 @@ def tune_vanilla(req: TuneRequest) -> TunePlan:
     R = math.ceil(0.28 * (1 + eps * math.sqrt(kappa)) / eps**2)
     Q = math.ceil(2.2 + 0.7 * math.log(math.sqrt(kappa) / eps))
     h = 0.1 / req.M
-    hbar = 0.1
     n, warnings = _iteration_count(10.0, 7.0, req)
 
     # Small-kappa/large-eps corner: the literal R misses the stability bound;
     # widen minimally (never changes cases that already pass).
     R_stable = R
-    while vanilla_stability_lhs(hbar, Q, R_stable, kappa) > VANILLA_STABILITY_MAX:
+    while not _checks("vanilla", h, R_stable, Q, None, req.m, req.M)[0].passed:
         R_stable += 1
         if R_stable - R > _REPAIR_LIMIT:
             raise ConfigurationError("could not satisfy the vanilla stability bound by widening R")
     if R_stable != R:
         warnings.append(f"R widened from {R} to {R_stable} to satisfy the stability precondition")
-        R = R_stable
-
-    plan = TunePlan(
-        regime="vanilla",
-        R=R,
-        Q=Q,
-        h=h,
-        n=n,
-        gamma=None,
-        sequential_rounds=n * Q,
-        total_gradient_evals=n * Q * R,
-        warnings=warnings,
-    )
-    plan.preconditions = check_preconditions(plan, PotentialSpec(req.p, req.m, req.M), "vanilla")
-    return plan
+    return _plan(req, R_stable, Q, h, n, None, warnings)
 
 
 def tune_kinetic(req: TuneRequest) -> TunePlan:
@@ -209,21 +181,8 @@ def tune_kinetic(req: TuneRequest) -> TunePlan:
     gamma = 5.0 * req.M
     R = math.ceil(10.0 / eps + kappa ** (1.0 / 3.0) / eps ** (2.0 / 3.0))
     Q = 5 + math.ceil(0.7 * math.log(math.sqrt(kappa) / eps))
-    h = 0.1 / gamma
     n, warnings = _iteration_count(25.0, 22.0, req)
-    plan = TunePlan(
-        regime="kinetic",
-        R=R,
-        Q=Q,
-        h=h,
-        n=n,
-        gamma=gamma,
-        sequential_rounds=n * Q,
-        total_gradient_evals=n * Q * R,
-        warnings=warnings,
-    )
-    plan.preconditions = check_preconditions(plan, PotentialSpec(req.p, req.m, req.M), "kinetic")
-    return plan
+    return _plan(req, R, Q, 0.1 / gamma, n, gamma, warnings)
 
 
 def tune(req: TuneRequest) -> TunePlan:

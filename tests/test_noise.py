@@ -30,6 +30,26 @@ B_ORACLE_J2 = 0.02880078307140487  # gamma=1, h=1, R=2, U_2=0.75, j=2
 VAR_XI_BAR = 0.18126924692201814   # gamma=1, h=0.1
 VAR_XI_FULL = 0.0006189190658564340
 
+# Frozen 40-digit evaluations (mpmath) of the closed form of coeff_b_kinetic at R=4, h=0.1,
+# U=(0.2, 0.3, 0.7, 0.9), keyed by gamma h; each row lists (j, r) for r = 1..4, then j = 1..r.
+B_KINETIC_40_DIGITS = {
+    1e-06: (1.9999998666666736e-09, 4.374999552083367e-09, 1.2499999791666664e-10, 1.4374995802084163e-08,
+            8.124998614583496e-09, 1.9999998666666724e-09, 1.9374992427085325e-08, 1.3124996489583972e-08,
+            6.874998989583439e-09, 1.1249999437500025e-09),
+    0.0001: (1.9999866667333335e-07, 4.374955208670571e-07, 1.2499979166692705e-08, 1.4374580216628783e-06,
+             8.124861459975245e-07, 1.9999866667333325e-07, 1.937424272823268e-06, 1.3124648964704341e-06,
+             6.874898959378899e-07, 1.1249943750210942e-07),
+    0.01: (1.9986673330667557e-05, 4.370524203705439e-05, 1.2497916927057288e-06, 0.0001433310366453322,
+           8.111162237504926e-05, 1.9986673330667547e-05, 0.00019299469435977567, 0.00013089959456212249,
+           6.864906280598119e-05, 1.124437710874235e-05),
+    1.0: (0.0018730753077981863, 0.003958879618100386, 0.00012294245007140087, 0.010895715216963623,
+          0.006889739854379144, 0.0018730753077981852, 0.013452388297958308, 0.010172573072537676,
+          0.005961206961058151, 0.001070797642505781),
+    50.0: (0.018000090799859526, 0.024835830614556846, 0.003164169997247797, 0.024999999999661623,
+           0.024999909200478856, 0.018000090799859522, 0.024999999999999988, 0.02499999999587771,
+           0.02499889383538201, 0.013001106168740298),
+}
+
 
 def _kinetic_integrands(R, gamma, h, U):
     taus = np.append(np.asarray(U) * h, h)
@@ -175,6 +195,13 @@ class TestKineticCoefficients:
         U = np.array([0.25, 0.75])
         assert abs(coeff_b_kinetic(2, 1e-14, 1.0, U, 1, 2)) < 1e-12
 
+    @pytest.mark.parametrize("gamma_h", sorted(B_KINETIC_40_DIGITS))
+    def test_frozen_40_digit_values(self, gamma_h):
+        # Small gamma h is where L - e^{-a} em1(gamma L) / gamma would cancel; the weight keeps full precision.
+        R, h, U = 4, 0.1, np.array([0.2, 0.3, 0.7, 0.9])
+        got = [coeff_b_kinetic(R, gamma_h / h, h, U, j, r) for r in range(1, R + 1) for j in range(1, r + 1)]
+        np.testing.assert_allclose(got, B_KINETIC_40_DIGITS[gamma_h], rtol=1e-14, atol=0.0)
+
     def test_bounds(self):
         rng = stream(4, 0, ROLE_MIDPOINTS)
         for R in (1, 2, 4, 8):
@@ -196,7 +223,7 @@ class TestKineticCoefficients:
                                    for j in range(1, R + 1)] for r in range(1, R + 1)] for u in U])
                 got = _full_weights(R, h, U, gamma)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (R, gamma_h)
-            # At gamma h = 1e-4 the scalar form L - em1(gamma L) / gamma cancels; integrate instead.
+            # At gamma h = 1e-4, against an independent quadrature of the defining integral.
             gamma, h, u = 2.0, 5e-5, U[0]
             got = _full_weights(R, h, u, gamma)
             want = np.zeros((R, R))
@@ -409,8 +436,8 @@ class TestDriftWalkerProperty:
                     cell = (h / R) * min(float(j), R * u[r - 1]) - (j - 1) * h / R  # the weight's integration range
                     want[r - 1, c] += w * G[j - 1, c]
                     scale[r - 1, c] += cell * abs(G[j - 1, c])
-        # Relative to the terms' scale: the scalar kinetic form subtracts two numbers of size `cell` (the
-        # walk does not), and its rounding is relative to them, not to their difference.
+        # Relative to the terms' scale, sum of cell length x |gradient|: for the vanilla weights this is plain
+        # relative error; TestKineticCoefficients pins the scalar kinetic weights themselves to 1e-14.
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 

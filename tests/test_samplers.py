@@ -445,6 +445,14 @@ class TestStepEntryPoint:
         assert out.iteration == 8
         assert np.array_equal(out.theta, want)
 
+    @pytest.mark.parametrize("kind", KINETIC_KINDS)
+    def test_kinetic_step_without_gamma_or_velocity_is_a_configuration_error(self, kind):
+        pot, theta = _quad([1.0, 3.0]), np.array([0.3, -0.2])
+        with pytest.raises(ConfigurationError, match=f"{kind} requires a friction coefficient gamma"):
+            step(kind, ChainState(theta=theta, v=np.zeros(2)), SamplerConfig(h=0.01, n=1, R=2, Q=2), pot)
+        with pytest.raises(ConfigurationError, match=f"{kind} requires a velocity"):
+            step(kind, ChainState(theta=theta), SamplerConfig(h=0.01, n=1, R=2, Q=2, gamma=5.0), pot)
+
 
 class TestRunDriver:
     def test_zero_iterations(self, quad_2d):

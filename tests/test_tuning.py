@@ -3,12 +3,19 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parlmc import (
     ConfigurationError,
+    PotentialSpec,
+    SamplerConfig,
     TuneRequest,
     check_preconditions,
     iters_limited,
+    theorem1_bound,
+    theorem2_bound,
+    tune,
     tune_kinetic,
     tune_vanilla,
 )
@@ -108,6 +115,37 @@ class TestPreconditionChecks:
         assert by_name["friction_lower_bound"].margin == pytest.approx(50.0 - 5 * 10.0)
         stab = by_name["kinetic_stability"]
         assert stab.margin == pytest.approx(stab.threshold - stab.value)
+
+
+@st.composite
+def _rule_points(draw):
+    """A regime, h, R, Q, gamma (below 5 M too, and at it) and 0 < m <= M, on both sides of each inequality."""
+    regime = draw(st.sampled_from(["vanilla", "kinetic"]))
+    m = draw(st.floats(1e-2, 10.0))
+    M = m * draw(st.sampled_from([1.0]) | st.floats(1.0, 1e4))
+    gamma = M * draw(st.sampled_from([5.0]) | st.floats(0.5, 20.0)) if regime == "kinetic" else None
+    h = draw(st.floats(1e-4, 1.0)) / (gamma or M)
+    return regime, h, draw(st.integers(1, 64)), draw(st.integers(1, 8)), gamma, m, M
+
+
+class TestOneStabilityRule:
+    """The theorem bounds and the tuner flag a precondition exactly when the checks report it."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(_rule_points(), st.integers(0, 1000))
+    def test_bound_flag_is_the_checks(self, point, n):
+        regime, h, R, Q, gamma, m, M = point
+        checks = check_preconditions(SamplerConfig(h=h, n=n, R=R, Q=Q, gamma=gamma), PotentialSpec(3, m, M), regime)
+        shared = dict(h=h, Q=Q, R=R, m=m, M=M, p=3, w2_init=1.0, n=n)
+        bound = theorem1_bound(**shared) if gamma is None else theorem2_bound(**shared, gamma=gamma, f_gap=0.5)
+        assert bound.precondition_ok == all(c.passed for c in checks)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.sampled_from(["vanilla", "kinetic"]), st.floats(0.01, 0.99), st.floats(1e-2, 10.0),
+           st.floats(1.0, 1e5), st.integers(1, 1000), st.sampled_from([None, 0.0]) | st.floats(1e-6, 10.0))
+    def test_plan_preconditions_are_the_checks(self, regime, eps, m, kappa, p, w2):
+        plan = tune(TuneRequest(epsilon=eps, m=m, M=m * kappa, p=p, regime=regime, w2_init=w2))
+        assert plan.preconditions == check_preconditions(plan, PotentialSpec(p, m, m * kappa), regime)
 
 
 class TestTunedPlansSatisfyPreconditions:
