@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .tuning import _checks
+from .tuning import _checks, _power
 
 _SYM_TOL = 1e-10
 _EIG_TOL = 1e-10
@@ -124,7 +124,7 @@ def theorem1_bound(
     hbar = M * h
     init = 1.03 * math.exp(-m * n * h / 2.0) * w2_init
     disc = 2.1 * (
-        hbar**Q + hbar / math.sqrt(R) + (hbar ** (Q - 1) + hbar / R) * math.sqrt(kappa * hbar)
+        _power(hbar, Q) + hbar / math.sqrt(R) + (_power(hbar, Q - 1) + hbar / R) * math.sqrt(kappa * hbar)
     ) * math.sqrt(p / m)
     return BoundEvaluation(
         theorem="T1",
@@ -163,8 +163,8 @@ def theorem2_bound(
     decay = math.exp(-m * n * h)
     t1 = 3.04 * decay * w2_init
     t2 = 1.1 * math.sqrt(decay * f_gap / m)
-    t3 = 80.11 * math.sqrt(hbar**3 / R**2 + hbar ** (2 * Q - 1)) * math.sqrt(p / m)
-    t4 = 4.33 * math.sqrt(hbar**6 / R**3 + hbar ** (4 * Q - 2)) * math.sqrt(kappa * p / m)
+    t3 = 80.11 * math.sqrt(_power(hbar, 3) / R**2 + _power(hbar, 2 * Q - 1)) * math.sqrt(p / m)
+    t4 = 4.33 * math.sqrt(_power(hbar, 6) / R**3 + _power(hbar, 4 * Q - 2)) * math.sqrt(kappa * p / m)
     return BoundEvaluation(
         theorem="T2",
         initialization_term=t1 + t2,

@@ -113,28 +113,19 @@ def _em1(x):
     return -np.expm1(-x)
 
 
+def _h(x):
+    """x - 2 tanh(x/2) >= 0, the kinetic regime's one cancelling difference: below 0.4 its odd Taylor series
+    x^3/12 - x^5/120 + 17 x^7/20160 - ... (8 terms, Horner in x^2), above it the direct form."""
+    s = x * x
+    series = x * s * (1 / 12 - s * (1 / 120 - s * (17 / 20160 - s * (31 / 362880 - s * (691 / 79833600 - s * (
+        5461 / 6227020800 - s * (929569 / 10461394944000 - s * (3202291 / 355687428096000))))))))
+    return np.where(x < 0.4, series, x - 2 * np.tanh(x / 2))
+
+
 def _g1(x):
-    """x - (1 - e^{-x});  ~ x^2/2 for small x (Horner series: it runs per chain every step)."""
-    x = np.asarray(x, dtype=float)
-    direct = x - _em1(x)
-    series = x * x * (1 / 2 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x * (1 / 720 - x / 5040)))))
-    return np.where(x < 0.01, series, direct)
-
-
-def _g2(x):
-    """x - 2(1 - e^{-x}) + (1 - e^{-2x})/2;  ~ x^3/3 for small x."""
-    x = np.asarray(x, dtype=float)
-    direct = x - 2 * _em1(x) + _em1(2 * x) / 2
-    series = x**3 / 3 - x**4 / 4 + 7 * x**5 / 60 - x**6 / 24 + 31 * x**7 / 2520 - x**8 / 320
-    return np.where(x < 0.02, series, direct)
-
-
-def _g3(x):
-    """(1 - e^{-x}) - (1 - e^{-2x})/2;  ~ x^2/2 for small x."""
-    x = np.asarray(x, dtype=float)
-    direct = _em1(x) - _em1(2 * x) / 2
-    series = x * x / 2 - x**3 / 2 + 7 * x**4 / 24 - x**5 / 8 + 31 * x**6 / 720 - x**7 / 80
-    return np.where(x < 0.01, series, direct)
+    """x - (1 - e^{-x}) = (h(x) + x t) / (1 + t) with t = tanh(x/2): nonnegative terms, nothing cancels."""
+    t = np.tanh(x / 2)
+    return (_h(x) + x * t) / (1 + t)
 
 
 @dataclass
@@ -333,29 +324,27 @@ def kinetic_covariance(R: int, gamma: float, h: float, U: np.ndarray) -> np.ndar
     Entry (i, j) equals 2 int_0^h g_i(s) g_j(s) ds by the Ito isometry, where
     g_r(s) = 1{s <= h U_r} (1 - e^{-gamma (h U_r - s)}) for the midpoints,
     g for xi uses h in place of h U_r, and g for xi_bar is e^{-gamma (h - s)}.
-    All entries are sums of exponentials (series-stabilized for small gamma h).
+    Every entry is a sum of nonnegative terms built from e^{-x}, tanh(x/2)
+    and h(x) = x - 2 tanh(x/2), so none cancels at small gamma h.
     The reference for :func:`draw_kinetic_noise`; raises InternalError if the
     result is not PSD to 1e-10.
     """
     if gamma <= 0 or h <= 0:
         raise DomainError("gamma and h must be positive")
     u, taus = _time_grid(R, h, U)  # taus: (..., R+1)
-    batch = u.shape[:-1]
 
-    lo = np.minimum(taus[..., :, None], taus[..., None, :])
-    hi = np.maximum(taus[..., :, None], taus[..., None, :])
-    q = np.exp(-gamma * (hi - lo))
-    block = (_em1(gamma * (hi - lo)) * _g1(gamma * lo) + q * _g2(gamma * lo)) / gamma  # (..., R+1, R+1)
+    x = gamma * np.minimum(taus[..., :, None], taus[..., None, :])  # gamma times the earlier time
+    gap = gamma * np.abs(taus[..., :, None] - taus[..., None, :])
+    g2 = _h(x) + np.tanh(x / 2) * _em1(x) ** 2 / 2  # x - 2(1 - e^{-x}) + (1 - e^{-2x})/2
+    block = (_em1(gap) * _g1(x) + np.exp(-gap) * g2) / gamma  # (..., R+1, R+1)
 
-    cross_bar = np.exp(-gamma * (h - taus)) * _g3(gamma * taus) / gamma  # (..., R+1)
+    cross_bar = np.exp(-gamma * (h - taus)) * _em1(gamma * taus) ** 2 / (2.0 * gamma)  # (..., R+1)
     var_bar = _em1(2.0 * gamma * h) / (2.0 * gamma)
 
-    n = R + 2
-    cov = np.zeros(batch + (n, n))
-    cov[..., : R + 1, : R + 1] = block
-    cov[..., : R + 1, R + 1] = cross_bar
-    cov[..., R + 1, : R + 1] = cross_bar
-    cov[..., R + 1, R + 1] = var_bar
+    cov = np.zeros(u.shape[:-1] + (R + 2, R + 2))
+    cov[..., :-1, :-1] = block
+    cov[..., :-1, -1] = cov[..., -1, :-1] = cross_bar
+    cov[..., -1, -1] = var_bar
     cov *= 2.0
 
     eigs = np.linalg.eigvalsh(cov)
@@ -380,21 +369,19 @@ def draw_kinetic_noise(
     """Exact joint draw of (xi_1..xi_R, xi, xi_bar) given the midpoints U.
 
     Walks (D, Y) over the ordered times h U_1 <= ... <= h U_R <= h.  A gap of
-    length dt (x = gamma dt) adds independent (d, y) with Var y =
-    (1 - e^{-2x}) / (2 gamma), Cov(d, y) = g3(x) / gamma, Var d = g2(x) / gamma,
-    then D <- D + (1 - e^{-x}) Y + d and Y <- e^{-x} Y + y.  The draw reads
+    length dt (x = gamma dt) adds a fresh Gaussian (d, y): Var y =
+    (1 - e^{-2x}) / (2 gamma), and d = tanh(x/2) y plus an independent normal
+    of variance (x - 2 tanh(x/2)) / gamma (both 0 on a tied gap, x = 0).
+    Then D <- D + (1 - e^{-x}) Y + d and Y <- e^{-x} Y + y.  The draw reads
     xi_r = sqrt(2) D(h U_r), xi = sqrt(2) D(h), xi_bar = sqrt(2) Y(h).
     Coordinates are independent; chain c takes its own block of normals.
     """
     u, times = _time_grid(R, h, U, size)
     # Slot-major (R+1, p, ...) walk: each broadcast is one pass over the chains, not C passes of p.
     x = _slot_view(gamma * _gaps(times))[:, None]             # (R+1, 1, ...)
-    var_y, cov = _em1(2.0 * x) / (2.0 * gamma), _g3(x) / gamma
-    # y first, then d given y; var_y is 0 on a gap of length 0 (tied times).
-    slope = np.divide(cov, var_y, out=np.zeros_like(cov), where=var_y > 0)
-    cond_sd = np.sqrt(np.maximum(_g2(x) / gamma - slope * cov, 0.0))
+    slope, cond_sd = np.tanh(x / 2), np.sqrt(_h(x) / gamma)  # y first, then d given y
     z = _slot_view(rng.standard_normal(out=_take(work, "z", times.shape + (2, p))), -3, -2, -1)  # chain-major
-    y = np.multiply(np.sqrt(var_y), z[:, 0], out=_take(work, "y", z[:, 0].shape))
+    y = np.multiply(np.sqrt(_em1(2.0 * x) / (2.0 * gamma)), z[:, 0], out=_take(work, "y", z[:, 0].shape))
     D = np.multiply(cond_sd, z[:, 1], out=_take(work, "D", y.shape))  # each gap's d, then D in place
     gain, decay, Y, tmp = _em1(x), np.exp(-x), _take(work, "B", y.shape[1:]), _take(work, "tmp", y.shape[1:])
     Y[...] = 0.0

@@ -92,14 +92,22 @@ class ConditionCheck:
         return asdict(self)
 
 
+def _power(hbar: float, k: int) -> float:
+    """hbar^k, or inf where it overflows (hbar^{4Q-2} at a large hbar and Q): a rule fails, a bound reads inf."""
+    try:
+        return float(hbar) ** k  # an int hbar would give an exact int that overflows in the sum instead
+    except OverflowError:
+        return math.inf
+
+
 def vanilla_stability_lhs(hbar: float, Q: int, R: int, kappa: float) -> float:
     """hbar^Q + hbar/R + (hbar^{Q-1} + hbar/R^{3/2}) sqrt(kappa hbar)."""
-    return hbar**Q + hbar / R + (hbar ** (Q - 1) + hbar / R**1.5) * math.sqrt(kappa * hbar)
+    return _power(hbar, Q) + hbar / R + (_power(hbar, Q - 1) + hbar / R**1.5) * math.sqrt(kappa * hbar)
 
 
 def kinetic_stability_lhs(hbar: float, Q: int, R: int, kappa: float) -> float:
     """kappa (hbar^6 / R^3 + hbar^{4Q-2})."""
-    return kappa * (hbar**6 / R**3 + hbar ** (4 * Q - 2))
+    return kappa * (_power(hbar, 6) / R**3 + _power(hbar, 4 * Q - 2))
 
 
 def _check(name: str, value: float, threshold: float, at_most: bool) -> ConditionCheck:
@@ -119,6 +127,8 @@ def _checks(regime: str, h: float, R: int, Q: int, gamma: float | None, m: float
     if regime == "vanilla":
         return [_check("vanilla_stability", vanilla_stability_lhs(M * h, Q, R, kappa), VANILLA_STABILITY_MAX, True)]
     if regime == "kinetic":
+        if gamma is None:
+            raise ConfigurationError("the kinetic regime requires a friction coefficient gamma")
         return [_check("friction_lower_bound", float(gamma), 5 * M, False),
                 _check("kinetic_stability", kinetic_stability_lhs(gamma * h, Q, R, kappa), KINETIC_STABILITY_MAX, True)]
     raise ConfigurationError(f"unknown regime {regime!r}")
@@ -138,7 +148,7 @@ def _iteration_count(scale: float, log_const: float, req: TuneRequest) -> tuple[
     if req.w2_init is None:
         warnings.append("no initial W2 estimate supplied; its log term was dropped from n")
     elif req.w2_init > 0:
-        bracket += math.log((req.m / req.p) * req.w2_init**2)
+        bracket += math.log(req.m / req.p) + 2 * math.log(req.w2_init)  # (m/p) w2^2 may underflow to 0
     else:
         warnings.append("initial W2 estimate is zero; its log term was dropped from n")
     n = max(1, math.ceil(scale * req.kappa * bracket))

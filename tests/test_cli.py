@@ -261,6 +261,13 @@ class TestCheck:
         trace = run("rlmc", config, build_potential(json.loads(cfg.read_text())["potential"]))
         assert failing and failing == {w.split()[0] for w in trace.warnings}
 
+    def test_overflowing_rule_fails_as_inf(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, sampler="prklmc", gamma=1e4, h=1.0, R=2, Q=40)
+        assert main(["check", "--config", str(cfg)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        stability = {c["name"]: c for c in report["checks"]}["kinetic_stability"]
+        assert (stability["value"], stability["passed"], report["all_passed"]) == (float("inf"), False, False)
+
     def test_kinetic_without_gamma_is_the_run_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, sampler="rklmc")
         assert main(["check", "--config", str(cfg)]) == EXIT_CONFIG

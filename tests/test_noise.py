@@ -50,6 +50,28 @@ B_KINETIC_40_DIGITS = {
            0.02499889383538201, 0.013001106168740298),
 }
 
+# Frozen 50-digit evaluations (mpmath) of the kinetic gap functions at GAP_XS, both sides of every series cut:
+# h = x - 2 tanh(x/2), g1 = x - (1 - e^{-x}), g2 = x - 2(1 - e^{-x}) + (1 - e^{-2x})/2, g3 = (1 - e^{-x}) - (1 - e^{-2x})/2.
+GAP_XS = (1e-10, 1e-06, 0.001, 0.0099, 0.01, 0.0199, 0.02, 0.021, 0.1, 0.3999, 0.4, 1.0, 5.0, 20.0, 60.0)
+GAP_40_DIGITS = {
+    "h": (8.333333333333334e-32, 8.333333333332499e-20, 8.333332500000085e-11, 8.085745751615137e-08,
+          8.333250000843246e-08, 6.566905777420243e-07, 6.666400010793214e-07, 7.717159673437074e-07,
+          8.325008424005562e-05, 0.005245464796848713, 0.005249359550191999, 0.07576568547998049,
+          3.0267714036971394, 18.000000008244616, 58.0),
+    "g1": (4.999999999833334e-21, 4.999998333333749e-13, 4.998333749916681e-07, 4.8843682957151566e-05,
+           4.983374916805358e-05, 0.00019669807524271484, 0.00019867330675530222, 0.00021896456945958822,
+           0.0048374180359595734, 0.07028708139195482, 0.07032004603563931, 0.36787944117144233,
+           4.006737946999086, 19.000000002061153, 59.0),
+    "g2": (3.333333333083334e-31, 3.3333308333344993e-19, 3.3308344995834563e-10, 3.210425657449471e-07,
+           3.308449584560374e-07, 2.5880218736427456e-06, 2.627037348999722e-06, 3.0388526769002305e-06,
+           0.00030945953292821707, 0.015964743335297907, 0.01597561001266781, 0.1680912407245783,
+           3.5134531940332896, 18.500000004122306, 58.5),
+    "g3": (4.9999999995000005e-21, 4.999995000002916e-13, 4.995002915417097e-07, 4.852264039140662e-05,
+           4.950290420959754e-05, 0.0001941100533690721, 0.0001960462694063025, 0.00021592571678268798,
+           0.0045279585030313565, 0.054322338056656906, 0.0543444360229715, 0.19978820044686402,
+           0.49328475296579577, 0.49999999793884636, 0.5),
+}
+
 
 def _kinetic_integrands(R, gamma, h, U):
     taus = np.append(np.asarray(U) * h, h)
@@ -328,6 +350,21 @@ def _kinetic_linear_map(R, gamma, h, U):
     return np.concatenate([d.xi_mid, d.xi_full[None], d.xi_bar[None]], axis=0)
 
 
+class TestGapFunctions:
+    @pytest.mark.parametrize("name", sorted(GAP_40_DIGITS))
+    def test_frozen_40_digit_values(self, name):
+        # At gamma = 1 and h = x: one full cell weighs g1(x); Var xi = 2 g2(x) and Cov(xi, xi_bar) = 2 g3(x).
+        if name == "h":
+            from parlmc.noise import _h
+            got = [float(_h(x)) for x in GAP_XS]
+        elif name == "g1":
+            got = [coeff_b_kinetic(1, 1.0, x, [1.0], 1, 1) for x in GAP_XS]
+        else:
+            entry = (1, 1) if name == "g2" else (1, 2)
+            got = [kinetic_covariance(1, 1.0, x, np.array([0.5]))[entry] / 2 for x in GAP_XS]
+        np.testing.assert_allclose(got, GAP_40_DIGITS[name], rtol=1e-13, atol=0.0)
+
+
 class TestKineticNoise:
     @pytest.mark.parametrize("R", [1, 2, 24, 122, 274])
     @pytest.mark.parametrize("gamma_h", [1e-4, 0.1, 1.0, 5.0])
@@ -439,6 +476,36 @@ class TestDriftWalkerProperty:
         # Relative to the terms' scale, sum of cell length x |gradient|: for the vanilla weights this is plain
         # relative error; TestKineticCoefficients pins the scalar kinetic weights themselves to 1e-14.
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@st.composite
+def _noise_shapes(draw):
+    """R in 1..40, h, gamma h in 1e-6..50, and stratified U whose neighbours tie on stratum edges, 0 and 1.
+
+    No subnormal offset: a subnormal time has too few bits for any relative bound (draw_midpoints makes none).
+    """
+    R, h = draw(st.integers(1, 40)), draw(st.floats(1e-3, 2.0))
+    gamma = draw(st.floats(1e-6, 50.0)) / h
+    offsets = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, allow_subnormal=False),
+                            min_size=R, max_size=R))
+    return R, h, gamma, (np.arange(R) + np.array(offsets)) / R
+
+
+class TestExactNoiseProperty:
+    """Both draws are linear in their normals, so an identity basis of normals gives the map L, and L L^T
+    must be the covariance: kinetic_covariance, and 2 h min(U_r, U_s) with U_{R+1} = 1 for the vanilla path."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(_noise_shapes())
+    def test_identity_basis_gives_the_covariance(self, drawn):
+        R, h, gamma, U = drawn
+        vanilla = draw_vanilla_noise(R, h, R + 1, U, _IdentityBasis())
+        times = np.append(U, 1.0)
+        for L, cov in ((np.concatenate([vanilla.xi_mid, vanilla.xi_full[None]]),
+                        2 * h * np.minimum(times[:, None], times[None, :])),
+                       (_kinetic_linear_map(R, gamma, h, U), kinetic_covariance(R, gamma, h, U))):
+            sd = np.sqrt(np.diag(cov))  # 0 on a midpoint tied to time 0, where L's row must be exactly 0
+            assert np.all(np.abs(L @ L.T - cov) <= 1e-12 * np.outer(sd, sd))
 
 
 def test_streams_differ_across_keys():

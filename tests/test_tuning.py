@@ -2,17 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parlmc import (
     ConfigurationError,
     PotentialSpec,
+    PreconditionWarning,
+    QuadraticPotential,
     SamplerConfig,
     TuneRequest,
     check_preconditions,
     iters_limited,
+    run,
     theorem1_bound,
     theorem2_bound,
     tune,
@@ -116,6 +120,33 @@ class TestPreconditionChecks:
         stab = by_name["kinetic_stability"]
         assert stab.margin == pytest.approx(stab.threshold - stab.value)
 
+    def test_kinetic_without_gamma_names_gamma(self):
+        with pytest.raises(ConfigurationError, match="gamma"):
+            check_preconditions(SamplerConfig(h=1.0, n=1, R=2, Q=4), PotentialSpec(2, 1.0, 2.0), "kinetic")
+
+
+class TestOverflow:
+    """hbar^{4Q-2} and hbar^Q overflow a float at a large hbar and Q: each formula reads inf instead of raising,
+    so the check fails, run warns and the bound is inf."""
+
+    def test_formulas_read_inf(self):
+        assert vanilla_stability_lhs(2e3, 400, 2, 2.0) == math.inf
+        assert kinetic_stability_lhs(1e4, 40, 2, 2.0) == math.inf
+        vanilla = theorem1_bound(h=1e3, Q=400, R=2, m=1.0, M=2.0, p=2, w2_init=1.0, n=1)
+        kinetic = theorem2_bound(h=1.0, Q=40, R=2, m=1.0, M=2.0, gamma=1e4, p=2, w2_init=1.0, f_gap=1.0, n=1)
+        for bound in (vanilla, kinetic):
+            assert bound.total == bound.discretization_term == math.inf and not bound.precondition_ok
+        # Integer h and M make an integer hbar.
+        assert check_preconditions(SamplerConfig(h=1000, n=1, R=2, Q=400), PotentialSpec(2, 1, 2),
+                                   "vanilla")[0].value == math.inf
+
+    def test_check_fails_and_run_warns(self):
+        config = SamplerConfig(h=1.0, n=1, R=2, Q=40, gamma=1e4)
+        stability = check_preconditions(config, PotentialSpec(2, 1.0, 2.0), "kinetic")[1]
+        assert (stability.value, stability.passed, stability.margin) == (math.inf, False, -math.inf)
+        with pytest.warns(PreconditionWarning, match="kinetic_stability fails: value inf"):
+            run("prklmc", config, QuadraticPotential(np.diag([1.0, 2.0])))
+
 
 @st.composite
 def _rule_points(draw):
@@ -142,7 +173,8 @@ class TestOneStabilityRule:
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(st.sampled_from(["vanilla", "kinetic"]), st.floats(0.01, 0.99), st.floats(1e-2, 10.0),
-           st.floats(1.0, 1e5), st.integers(1, 1000), st.sampled_from([None, 0.0]) | st.floats(1e-6, 10.0))
+           st.floats(1.0, 1e5), st.integers(1, 1000), st.sampled_from([None, 0.0]) | st.floats(0.0, 10.0))
+    @example("vanilla", 0.5, 1.0, 1.0, 1, 2.2e-313)  # (m/p) w2^2 underflows to 0
     def test_plan_preconditions_are_the_checks(self, regime, eps, m, kappa, p, w2):
         plan = tune(TuneRequest(epsilon=eps, m=m, M=m * kappa, p=p, regime=regime, w2_init=w2))
         assert plan.preconditions == check_preconditions(plan, PotentialSpec(p, m, m * kappa), regime)
