@@ -26,7 +26,7 @@ from . import noise as noise_mod
 from .errors import ConfigurationError, DivergenceError, ParlmcError
 from .metrics import GaussianSummary, empirical_summary, theorem1_bound, theorem2_bound, w2_gaussian
 from .potentials import LogisticRidgePotential, QuadraticPotential, SyntheticDelayPotential
-from .samplers import KINDS, KINETIC_KINDS, SamplerConfig, _initial_theta, _preconditions, effective_rq, run
+from .samplers import KINDS, KINETIC_KINDS, SamplerConfig, _initial_theta, _json, _preconditions, effective_rq, run
 from .tuning import TuneRequest, iters_limited, tune
 
 EXIT_OK = 0
@@ -66,6 +66,8 @@ def _field(raw: dict, key: str, convert=float, default=None):
     if value is None:
         return None
     try:
+        if convert is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("not a whole number")  # int() would truncate it
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"key {key!r} has an invalid value {value!r} ({exc})") from None
@@ -234,7 +236,7 @@ def cmd_tune(args) -> int:
             "R": req.R,
             "n": iters_limited(req.regime, req.kappa, req.epsilon, req.R),
         }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _json(payload)
     print(text)
     if args.out_dir:
         out = Path(args.out_dir)
@@ -251,14 +253,15 @@ def cmd_noise_check(args) -> int:
     u = noise_mod.draw_midpoints(args.R, rng_u)
     rng = noise_mod.stream(args.seed, 0, noise_mod.ROLE_PATH)
     if args.kind == "vanilla":
-        draw = noise_mod.draw_vanilla_noise(args.R, args.h, 1, u, rng, size=args.samples)
+        draw = noise_mod.draw_vanilla_noise(args.R, args.h, 1, np.broadcast_to(u, (args.samples, args.R)), rng)
         samples = np.concatenate([draw.xi_mid[:, :, 0].T, draw.xi_full], axis=1)
         tu = np.append(u, 1.0)
         analytic = 2.0 * args.h * np.minimum(tu[:, None], tu[None, :])
         labels = [f"xi_{r + 1}" for r in range(args.R)] + ["xi_full"]
     else:
         _require(args.gamma is not None and args.gamma > 0, "kinetic noise needs --gamma > 0")
-        draw = noise_mod.draw_kinetic_noise(args.R, args.gamma, args.h, 1, u, rng, size=args.samples)
+        draw = noise_mod.draw_kinetic_noise(args.R, args.gamma, args.h, 1, np.broadcast_to(u, (args.samples, args.R)),
+                                            rng)
         samples = np.concatenate([draw.xi_mid[:, :, 0].T, draw.xi_full, draw.xi_bar], axis=1)
         analytic = noise_mod.kinetic_covariance(args.R, args.gamma, args.h, u)
         labels = [f"xi_{r + 1}" for r in range(args.R)] + ["xi_full", "xi_bar"]
@@ -336,7 +339,7 @@ def cmd_check(args) -> int:
         "checks": [c.to_dict() for c in checks],
         "all_passed": all(c.passed for c in checks),
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_json(report))
     return EXIT_OK
 
 

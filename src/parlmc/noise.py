@@ -150,17 +150,14 @@ class KineticNoiseDraw:
 def draw_midpoints(R: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Draw U_r uniform on [(r-1)/R, r/R] for r = 1..R.
 
-    Returns shape (R,) or (size, R).  Values are strictly increasing; the
-    probability-zero float collisions at stratum boundaries are repaired by
-    one-ulp bumps so downstream increment construction stays well defined.
+    Returns shape (R,) or (size, R).  Values are nondecreasing, as (r-1+u)/R <= r/R <= (r+u')/R holds in
+    floating point; neighbours tie only when rounding puts both on their shared stratum edge, a zero gap that
+    the draws and the drift walk handle exactly.
     """
     if R < 1:
         raise ConfigurationError(f"number of strata R must be >= 1, got {R}")
     shape = (R,) if size is None else (int(size), R)
-    u = (_strata(R)[0] + rng.random(shape)) / R
-    while not (rising := u[..., 1:] > u[..., :-1]).all():
-        u[..., 1:] = np.where(rising, u[..., 1:], np.nextafter(u[..., :-1], np.inf))
-    return u
+    return (_strata(R)[0] + rng.random(shape)) / R
 
 
 def coeff_a_vanilla(R: int, U, j: int, r: int) -> float:
@@ -268,13 +265,11 @@ def _drift_walker(R: int, h: float, U, gamma: float | None = None, work: dict | 
     return walk
 
 
-def _time_grid(R: int, h: float, U, size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints U broadcast to `size` chains, and the times (h U_1..h U_R, h); U must hold R midpoints."""
+def _time_grid(R: int, h: float, U) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints U as floats, and the times (h U_1..h U_R, h); U must hold R midpoints per chain."""
     u = np.asarray(U, dtype=float)
     if u.shape[-1:] != (R,):
         raise ConfigurationError(f"midpoints U of shape {u.shape} do not hold R = {R} midpoints per chain")
-    if size is not None and u.ndim == 1:
-        u = np.broadcast_to(u, (int(size),) + u.shape).copy()
     times = np.empty(u.shape[:-1] + (R + 1,))
     np.multiply(u, h, out=times[..., :R])
     times[..., R] = h
@@ -297,16 +292,15 @@ def draw_vanilla_noise(
     p: int,
     U: np.ndarray,
     rng: np.random.Generator,
-    size: int | None = None,
     work: dict | None = None,
 ) -> VanillaNoiseDraw:
-    """Exact joint draw of (xi_1..xi_R, xi) given the midpoints U.
+    """Exact joint draw of (xi_1..xi_R, xi) given the midpoints U, one chain per row of U.
 
-    Builds the Brownian path at the ordered times h U_1 < ... < h U_R < h by
+    Builds the Brownian path at the ordered times h U_1 <= ... <= h U_R <= h by
     summing independent increments, then scales by sqrt(2).  Per coordinate,
     Cov(xi_r, xi_s) = 2 h min(U_r, U_s), Cov(xi_r, xi) = 2 h U_r, Var(xi) = 2h.
     """
-    u, times = _time_grid(R, h, U, size)
+    u, times = _time_grid(R, h, U)
     dt = _gaps(times)
     z = rng.standard_normal(out=_take(work, "z", times.shape + (p,)))  # drawn chain-major
     # Slot-major (R+1, ..., p) path: one in-place slice add per slot (np.cumsum along axis 0 is slower).
@@ -363,10 +357,9 @@ def draw_kinetic_noise(
     p: int,
     U: np.ndarray,
     rng: np.random.Generator,
-    size: int | None = None,
     work: dict | None = None,
 ) -> KineticNoiseDraw:
-    """Exact joint draw of (xi_1..xi_R, xi, xi_bar) given the midpoints U.
+    """Exact joint draw of (xi_1..xi_R, xi, xi_bar) given the midpoints U, one chain per row of U.
 
     Walks (D, Y) over the ordered times h U_1 <= ... <= h U_R <= h.  A gap of
     length dt (x = gamma dt) adds a fresh Gaussian (d, y): Var y =
@@ -376,7 +369,7 @@ def draw_kinetic_noise(
     xi_r = sqrt(2) D(h U_r), xi = sqrt(2) D(h), xi_bar = sqrt(2) Y(h).
     Coordinates are independent; chain c takes its own block of normals.
     """
-    u, times = _time_grid(R, h, U, size)
+    u, times = _time_grid(R, h, U)
     # Slot-major (R+1, p, ...) walk: each broadcast is one pass over the chains, not C passes of p.
     x = _slot_view(gamma * _gaps(times))[:, None]             # (R+1, 1, ...)
     slope, cond_sd = np.tanh(x / 2), np.sqrt(_h(x) / gamma)  # y first, then d given y

@@ -144,8 +144,8 @@ class QuadraticPotential(Potential):
             raise ConfigurationError("precision matrix must be symmetric")
         p = a.shape[0]
         mu = np.zeros(p) if mean is None else np.asarray(mean, dtype=float)
-        if mu.shape != (p,):
-            raise ConfigurationError("mean must have the same dimension as the precision matrix")
+        if mu.shape != (p,) or not np.isfinite(mu).all():
+            raise ConfigurationError("mean must be finite, with the same dimension as the precision matrix")
         eigs = np.linalg.eigvalsh(a)
         if eigs[0] <= 0:
             raise ConfigurationError(f"precision matrix must be positive definite (min eig {eigs[0]:.3e})")
@@ -196,8 +196,8 @@ class LogisticRidgePotential(Potential):
     def __init__(self, X: np.ndarray, y: np.ndarray, ridge: float):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
-        if X.ndim != 2:
-            raise ConfigurationError("design matrix must be 2-D")
+        if X.ndim != 2 or not np.isfinite(X).all():
+            raise ConfigurationError("design matrix must be 2-D and finite")
         if y.shape != (X.shape[0],):
             raise ConfigurationError("labels must be one per design row")
         if not np.all(np.isin(y, (-1.0, 1.0))):

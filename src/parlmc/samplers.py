@@ -84,6 +84,16 @@ class PreconditionWarning(UserWarning):
     """A theorem stability precondition fails for the supplied parameters."""
 
 
+def _whole(name: str, value, low: int) -> int:
+    """`value` as an int if it is a whole number >= `low` (2.5 is refused, not truncated); else an error naming it."""
+    try:
+        if int(value) == value and value >= low:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # None, a string, NaN or inf
+        pass
+    raise ConfigurationError(f"{name} must be a whole number >= {low}, got {value!r}")
+
+
 @dataclass
 class SamplerConfig:
     """Step size h, width R, refinement depth Q, length n, friction gamma."""
@@ -99,21 +109,13 @@ class SamplerConfig:
     v0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ConfigurationError(f"step size must be positive, got {self.h}")
-        if self.n < 0:
-            raise ConfigurationError(f"iteration count must be >= 0, got {self.n}")
-        if int(self.R) < 1:
-            raise ConfigurationError(f"parallel width R must be >= 1, got {self.R}")
-        if int(self.Q) < 1:
-            raise ConfigurationError(f"refinement depth Q must be >= 1, got {self.Q}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ConfigurationError(f"friction must be positive, got {self.gamma}")
-        if self.parallel_width is not None and int(self.parallel_width) < 1:
-            raise ConfigurationError(f"parallel_width must be >= 1, got {self.parallel_width}")
-        self.R = int(self.R)
-        self.Q = int(self.Q)
-        self.n = int(self.n)
+        if not 0 < self.h < np.inf:  # NaN fails too
+            raise ConfigurationError(f"step size h must be positive and finite, got {self.h}")
+        if self.gamma is not None and not 0 < self.gamma < np.inf:
+            raise ConfigurationError(f"friction gamma must be positive and finite, got {self.gamma}")
+        self.n, self.R, self.Q = _whole("n", self.n, 0), _whole("R", self.R, 1), _whole("Q", self.Q, 1)
+        if self.parallel_width is not None:
+            self.parallel_width = _whole("parallel_width", self.parallel_width, 1)
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -161,35 +163,6 @@ def _draw(kind, config, k, R, theta, work):
     return noise_mod.draw_vanilla_noise(R, config.h, theta.shape[-1], u, rng, work=work)
 
 
-def _refine(kind, theta, v, R, Q, noise, config, potential, work):
-    """(R, ..., p) gradients of the last round's points, after Q - 1 refinement rounds.
-
-    The first round is theta broadcast to every slot, one oracle call; each
-    refinement round sets the points to base - drift + xi_mid, with the
-    regime's base and the drift of the step's one `noise._drift_walker`,
-    all in the step's `work` buffers.
-    """
-    width = config.parallel_width
-    shape = (R,) + theta.shape
-    grads = execute_round(_repeat_view(theta, R), potential, width)
-    if Q > 1:
-        h = config.h
-        gamma = config.gamma if kind in KINETIC_KINDS else None
-        base = theta
-        if gamma is not None:
-            a = noise_mod._em1(gamma * h * noise.U) / gamma              # (..., R) velocity weight
-            base = np.multiply(noise_mod._slot_view(a)[..., None], v, out=noise_mod._take(work, "D", shape))
-            base += theta  # in place: a fresh broadcast sum is several times slower
-        walk = noise_mod._drift_walker(R, h, noise.U, gamma, work)
-        points, out = noise_mod._take(work, "points", shape), noise_mod._take(work, "grads", shape)
-    for _ in range(1, Q):
-        walk(grads, out=points)
-        np.subtract(base, points, out=points)
-        points += noise.xi_mid
-        grads = execute_round(points, potential, width, out=out)
-    return grads
-
-
 def _slot_sum(grads, weights=None):
     """Sum over the slots of (R, ..., p) gradients, optionally weighted by (R, ..., 1).
 
@@ -202,7 +175,8 @@ def _slot_sum(grads, weights=None):
 
 
 def step(kind: str, state: ChainState, config: SamplerConfig, potential: Potential, noise=None) -> ChainState:
-    """One outer iteration of `kind` at its effective (R, Q).
+    """One outer iteration of `kind` at its effective (R, Q): the draw, round 0 (theta in every slot, one oracle
+    call), Q - 1 refinement rounds to base - drift + xi_mid with one `noise._drift_walker`, then the update.
 
     `noise` replaces the keyed draw: a VanillaNoiseDraw or KineticNoiseDraw
     for the kind's regime, or for lmc also the bare xi array.  A step nested in
@@ -210,8 +184,9 @@ def step(kind: str, state: ChainState, config: SamplerConfig, potential: Potenti
     returned state shares no memory with the workspace.
     """
     R, Q = effective_rq(kind, config)
-    theta, v, h, gamma = state.theta, state.v, config.h, config.gamma
-    if v is None and kind in KINETIC_KINDS:
+    theta, v, h, width = state.theta, state.v, config.h, config.parallel_width
+    gamma = config.gamma if kind in KINETIC_KINDS else None  # None: the vanilla regime
+    if gamma is not None and v is None:
         raise ConfigurationError(f"{kind} requires a velocity: the state's v is None")
     work = vars(_workspace).pop("work", {})  # taken while this step runs, put back however it ends
     try:
@@ -219,8 +194,23 @@ def step(kind: str, state: ChainState, config: SamplerConfig, potential: Potenti
             noise = _draw(kind, config, state.iteration, R, theta, work)
         bare = kind == "lmc" and not isinstance(noise, noise_mod.VanillaNoiseDraw)
         xi = np.asarray(noise) if bare else noise.xi_full
-        grads = _refine(kind, theta, v, R, Q, noise, config, potential, work)
-        if kind in KINETIC_KINDS:
+        shape = (R,) + theta.shape
+        grads = execute_round(_repeat_view(theta, R), potential, width)
+        if Q > 1:
+            base = theta
+            if gamma is not None:
+                a = noise_mod._em1(gamma * h * noise.U) / gamma              # (..., R) velocity weight
+                base = np.multiply(noise_mod._slot_view(a)[..., None], v, out=noise_mod._take(work, "D", shape))
+                base += theta  # in place: a fresh broadcast sum is several times slower
+            walk = noise_mod._drift_walker(R, h, noise.U, gamma, work)
+            points, out = noise_mod._take(work, "points", shape), noise_mod._take(work, "grads", shape)
+        for _ in range(1, Q):
+            walk(grads, out=points)
+            np.subtract(base, points, out=points)
+            points += noise.xi_mid
+            grads = execute_round(points, potential, width, out=out)
+        walk = a = None  # spent: free their (R, ..., 1) arrays before the update allocates, or the heap faults more
+        if gamma is not None:
             tail = noise_mod._slot_view(gamma * h * (1.0 - noise.U))[..., None]  # (R, ..., 1)
             sum_theta = _slot_sum(grads, (h / R) * noise_mod._em1(tail))
             sum_v = _slot_sum(grads, (h / R) * np.exp(-tail))
@@ -267,8 +257,14 @@ class RunTrace:
         return out.getvalue()
 
     def to_json(self) -> str:
-        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "final_state"}
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return _json({f.name: getattr(self, f.name) for f in fields(self) if f.name != "final_state"})
+
+
+def _json(payload: dict) -> str:
+    """Indented, key-sorted JSON that strict readers accept: RFC 8259 has no token for a non-finite float, so one
+    is written as the string "Infinity", "-Infinity" or "NaN".  A finite payload keeps json.dumps's bytes."""
+    loose = json.loads(json.dumps(payload), parse_constant=str)  # each bare token comes back as its name
+    return json.dumps(loose, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _initial_theta(config, potential, n_chains):
@@ -297,7 +293,11 @@ def _initial_state(kind, config, potential, n_chains):
     v0 = None
     if kind in KINETIC_KINDS:
         if config.v0 is not None:
-            v0 = np.broadcast_to(np.asarray(config.v0, dtype=float), theta0.shape).copy()
+            try:
+                v0 = np.broadcast_to(np.asarray(config.v0, dtype=float), theta0.shape).copy()
+            except ValueError:
+                raise ConfigurationError(f"v0 of shape {np.shape(config.v0)} does not fit the chains' "
+                                         f"{theta0.shape}") from None
         else:
             rng = noise_mod.stream(config.seed, 0, noise_mod.ROLE_VELOCITY)
             v0 = np.sqrt(config.gamma) * rng.standard_normal(theta0.shape)

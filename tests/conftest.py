@@ -1,9 +1,22 @@
-"""Shared fixtures: standard quadratic targets and a logistic test problem."""
+"""Shared fixtures: standard quadratic targets and a logistic test problem; the Hypothesis profile."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from parlmc import LogisticRidgePotential, QuadraticPotential
+
+# Hypothesis writes its storage (constants, even with no database) under .hypothesis/ in the working directory
+# unless told otherwise: keep the checkout clean with a directory removed at exit.
+_HYPOTHESIS_STORAGE = tempfile.TemporaryDirectory(prefix="parlmc-hypothesis-")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_STORAGE.name)
+
+# Every property test draws the same examples on every run, keeps none, and has no deadline on a noisy host.
+settings.register_profile("parlmc", derandomize=True, database=None, deadline=None)
+settings.load_profile("parlmc")
 
 
 @pytest.fixture

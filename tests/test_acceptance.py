@@ -71,7 +71,7 @@ def test_criterion_01_vanilla_noise_covariance():
     start = time.perf_counter()
     R, h, n = 4, 0.1, 100_000
     u = np.array([0.1, 0.35, 0.6, 0.9])
-    draw = noise_mod.draw_vanilla_noise(R, h, 1, u, noise_mod.stream(101, 0, ROLE_PATH), size=n)
+    draw = noise_mod.draw_vanilla_noise(R, h, 1, np.broadcast_to(u, (n, R)), noise_mod.stream(101, 0, ROLE_PATH))
     samples = np.concatenate([draw.xi_mid[:, :, 0].T, draw.xi_full], axis=1)
     empirical = np.cov(samples, rowvar=False)
     tu = np.append(u, 1.0)
@@ -105,7 +105,8 @@ def test_criterion_02_kinetic_noise_covariance():
                            points=list(taus), limit=200, epsabs=1e-16, epsrel=1e-13)[0]
             quad_rel = max(quad_rel, abs(analytic[i, j] - val) / abs(val))
 
-    draw = noise_mod.draw_kinetic_noise(R, gamma, h, 1, u, noise_mod.stream(102, 0, ROLE_PATH), size=n)
+    draw = noise_mod.draw_kinetic_noise(R, gamma, h, 1, np.broadcast_to(u, (n, R)),
+                                        noise_mod.stream(102, 0, ROLE_PATH))
     samples = np.concatenate([draw.xi_mid[:, :, 0].T, draw.xi_full, draw.xi_bar], axis=1)
     empirical = np.cov(samples, rowvar=False)
     se = np.sqrt((np.outer(np.diag(analytic), np.diag(analytic)) + analytic**2) / (n - 1))

@@ -266,7 +266,7 @@ class TestCheck:
         assert main(["check", "--config", str(cfg)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         stability = {c["name"]: c for c in report["checks"]}["kinetic_stability"]
-        assert (stability["value"], stability["passed"], report["all_passed"]) == (float("inf"), False, False)
+        assert (float(stability["value"]), stability["passed"], report["all_passed"]) == (float("inf"), False, False)
 
     def test_kinetic_without_gamma_is_the_run_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, sampler="rklmc")
@@ -328,6 +328,9 @@ class TestMistypedValues:
         ({"theta0": ["a", 1.0]}, "'theta0'"),
         ({"potential": {**_QUAD, "precision_diag": "abc"}}, "'precision_diag'"),
         ({"potential": {"kind": "synthetic_delay", "dimension": "two", "delay_seconds": 0.0}}, "'dimension'"),
+        ({"R": 2.5}, "'R'"),  # an integer key refuses a fraction instead of truncating it
+        ({"seed": 7.5}, "'seed'"),
+        ({"potential": {"kind": "synthetic_delay", "dimension": 2.5, "delay_seconds": 0.0}}, "'dimension'"),
     ])
     def test_config(self, tmp_path, capsys, command, overrides, key):
         cfg = _write_config(tmp_path, **overrides)
@@ -337,9 +340,64 @@ class TestMistypedValues:
         assert f"key {key} has an invalid value" in err
         assert not list(tmp_path.glob("trace*"))
 
-    @pytest.mark.parametrize("overrides, key", [({"epsilon": "small"}, "'epsilon'"), ({"R": "wide"}, "'R'")])
+    @pytest.mark.parametrize("overrides, key", [({"epsilon": "small"}, "'epsilon'"), ({"R": "wide"}, "'R'"),
+                                                ({"p": 2.5}, "'p'")])
     def test_tune_request(self, tmp_path, capsys, overrides, key):
         request = tmp_path / "req.json"
         request.write_text(json.dumps({**_TUNE, **overrides}))
         assert main(["tune", "--request", str(request)]) == EXIT_CONFIG
         assert f"key {key} has an invalid value" in capsys.readouterr().err
+
+
+def _strict_loads(text):
+    """json.loads that refuses the bare Infinity, -Infinity and NaN tokens, as RFC 8259 readers do."""
+    def refuse(token):
+        raise ValueError(f"bare {token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    """A non-finite value is written as the string "Infinity", "-Infinity" or "NaN", never as a bare token."""
+
+    @pytest.mark.parametrize("command", ["check", "sample"])
+    def test_overflowing_rule(self, tmp_path, capsys, command):
+        cfg = _write_config(tmp_path, sampler="prklmc", gamma=1e4, h=1.0, R=2, Q=40)
+        if command == "check":
+            assert main(["check", "--config", str(cfg)]) == EXIT_OK
+            checks = {c["name"]: c for c in _strict_loads(capsys.readouterr().out)["checks"]}
+            assert (checks["kinetic_stability"]["value"], checks["kinetic_stability"]["margin"]) == \
+                ("Infinity", "-Infinity")
+        else:  # the first step diverges: the partial trace carries the bound of the initial row
+            assert main(["sample", "--config", str(cfg), "--out-dir", str(tmp_path), "--format", "json"]) \
+                == EXIT_DIVERGED
+            row = _strict_loads((tmp_path / "trace_partial.json").read_text())["rows"][0]
+            assert (row["bound_total"], row["bound_discretization"]) == ("Infinity", "Infinity")
+
+    def test_finite_output_is_plain_json_dumps(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        assert main(["check", "--config", str(cfg)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == json.dumps(_strict_loads(out), indent=2, sort_keys=True) + "\n"
+
+
+class TestLessTravelledInput:
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert main(["check", "--config", str(tmp_path / "absent.json")]) == EXIT_CONFIG
+        assert "config file not found" in capsys.readouterr().err
+
+    def test_non_finite_step_size_names_h(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, h=float("nan"))  # json.dumps writes NaN, which the CLI's reader accepts
+        assert main(["check", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "step size h must be positive and finite, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, metric", [
+        ({"potential": {"kind": "quadratic", "precision": [[2.0, 0.5], [0.5, 1.0]]}}, "w2"),  # a full matrix
+        ({"potential": {"kind": "synthetic_delay", "dimension": 2, "delay_seconds": 0.0}, "chains": 2}, None),
+    ])
+    def test_sample_columns(self, tmp_path, overrides, metric):
+        # With fewer than p + 1 chains the drift metric has no covariance to compare and adds no column.
+        cfg = _write_config(tmp_path, **overrides)
+        assert main(["sample", "--config", str(cfg), "--out-dir", str(tmp_path), "--format", "csv"]) == EXIT_OK
+        header = (tmp_path / "trace.csv").read_text().splitlines()[0].split(",")
+        assert header[:3] == ["iteration", "gradient_evals", "sequential_rounds"]
+        assert header[3:4] == ([metric] if metric else [])

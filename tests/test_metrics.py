@@ -1,6 +1,7 @@
 """W2 closed form, empirical summaries, and the convergence-bound evaluators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,3 +159,16 @@ class TestTheorem2Bound:
         with pytest.raises(DomainError):
             theorem2_bound(h=0.001, Q=3, R=4, m=1.0, M=10.0, gamma=50.0, p=10,
                            w2_init=1.0, f_gap=-1.0, n=10)
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: GaussianSummary(np.zeros(2), np.eye(3)), "mean must be (p,) and covariance (p, p)",
+                 id="summary-shape"),
+    pytest.param(lambda: w2_gaussian(_summary(np.zeros(2), np.eye(2)), _summary(np.zeros(3), np.eye(3))),
+                 "summaries have different dimensions", id="w2-dimensions"),
+    pytest.param(lambda: empirical_summary(np.zeros((3, 3))), "need at least p + 1 = 4 samples, got 3",
+                 id="summary-too-few-samples"),
+])
+def test_input_checks(make, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        make()

@@ -162,8 +162,8 @@ class TestMidpoints:
 
     @pytest.mark.parametrize("R", [3, 9])
     @pytest.mark.parametrize("size", [None, 2])
-    def test_stratum_boundary_collisions_are_repaired(self, R, size):
-        # (r + (1 - 2^-53)) / R rounds to (r + 1) / R at these R: U_r and U_{r+1} start out equal.
+    def test_stratum_boundary_ties_are_used_as_drawn(self, R, size):
+        # (r + (1 - 2^-53)) / R rounds to (r + 1) / R at these R: U_r and U_{r+1} tie.
         top = 1.0 - 2.0**-53
         assert (0 + top) / R == 1 / R and (2 + top) / R == 3 / R
 
@@ -173,9 +173,19 @@ class TestMidpoints:
 
         u = draw_midpoints(R, Colliding(), size=size)
         assert u.shape == ((R,) if size is None else (size, R))
-        assert np.all(u[..., 1:] > u[..., :-1])
+        tied = u[..., 1:] == u[..., :-1]
+        assert tied.any() and np.all(u[..., 1:] >= u[..., :-1])
         r = np.arange(R)
         assert np.all(u >= r / R) and np.all(u <= (r + 1) / R)
+        # A tie is a zero gap: both draws give the tied slots equal xi, and the walk stays finite there.
+        tied = np.moveaxis(tied, -1, 0)  # slot-major, like xi_mid
+        for d in (draw_vanilla_noise(R, 0.1, 3, u, stream(19, 0, ROLE_PATH)),
+                  draw_kinetic_noise(R, 2.0, 0.1, 3, u, stream(19, 0, ROLE_PATH))):
+            assert all(np.isfinite(a).all() for a in vars(d).values())
+            assert np.array_equal(d.xi_mid[1:][tied], d.xi_mid[:-1][tied])
+        grads = np.random.default_rng(19).standard_normal((R,) + u.shape[:-1] + (3,))
+        for gamma in (None, 2.0):
+            assert np.isfinite(_drift_walker(R, 0.1, u, gamma)(grads)).all()
 
 
 class TestVanillaCoefficients:
@@ -278,7 +288,7 @@ class TestVanillaNoise:
 
     def test_midpoint_cross_covariance(self):
         U = np.array([0.3, 0.7])
-        d = draw_vanilla_noise(2, 0.1, 1, U, stream(7, 0, ROLE_PATH), size=100_000)
+        d = draw_vanilla_noise(2, 0.1, 1, np.broadcast_to(U, (100_000, 2)), stream(7, 0, ROLE_PATH))
         cov = np.cov(d.xi_mid[0, :, 0], d.xi_mid[1, :, 0])[0, 1]
         # 2 h min(U) = 0.06; SE of the covariance estimator
         se = np.sqrt((2 * 0.1 * 0.3 * 2 * 0.1 * 0.7 + 0.06**2) / (100_000 - 1))
@@ -286,7 +296,7 @@ class TestVanillaNoise:
 
     def test_terminal_gap_variance(self):
         U = np.array([0.4])
-        d = draw_vanilla_noise(1, 0.1, 1, U, stream(8, 0, ROLE_PATH), size=100_000)
+        d = draw_vanilla_noise(1, 0.1, 1, np.broadcast_to(U, (100_000, 1)), stream(8, 0, ROLE_PATH))
         gap = d.xi_full[:, 0] - d.xi_mid[0, :, 0]
         target = 2 * 0.1 * (1 - 0.4)
         se = target * np.sqrt(2 / (100_000 - 1))
@@ -388,7 +398,7 @@ class TestKineticNoise:
     def test_monte_carlo_covariance(self):
         R, gamma, h = 2, 1.0, 0.1
         U = np.array([0.2, 0.8])
-        d = draw_kinetic_noise(R, gamma, h, 1, U, stream(13, 0, ROLE_PATH), size=100_000)
+        d = draw_kinetic_noise(R, gamma, h, 1, np.broadcast_to(U, (100_000, R)), stream(13, 0, ROLE_PATH))
         x = np.concatenate([d.xi_mid[:, :, 0].T, d.xi_full, d.xi_bar], axis=1)
         emp = np.cov(x, rowvar=False)
         ana = kinetic_covariance(R, gamma, h, U)
@@ -413,13 +423,13 @@ def test_ensemble_xi_mid_is_slot_major(kinetic):
     R, h, p = 5, 0.1, 3
     U = draw_midpoints(R, stream(16, 0, ROLE_MIDPOINTS), size=7)
 
-    def draw(u, size):
+    def draw(u):
         rng = stream(16, 0, ROLE_PATH)
         if kinetic:
-            return draw_kinetic_noise(R, 2.0, h, p, u, rng, size=size)
-        return draw_vanilla_noise(R, h, p, u, rng, size=size)
+            return draw_kinetic_noise(R, 2.0, h, p, u, rng)
+        return draw_vanilla_noise(R, h, p, u, rng)
 
-    whole, single = draw(U, 7), draw(U[0], None)
+    whole, single = draw(U), draw(U[0])
     assert whole.xi_mid.shape == (R, 7, p)
     assert whole.xi_mid.flags.c_contiguous
     assert np.array_equal(whole.xi_mid[:, 0], single.xi_mid)
@@ -460,7 +470,7 @@ def _walks(draw):
 
 
 class TestDriftWalkerProperty:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(_walks())
     def test_walk_equals_the_scalar_weight_sums(self, drawn):
         R, h, gamma, U, G = drawn
@@ -495,7 +505,7 @@ class TestExactNoiseProperty:
     """Both draws are linear in their normals, so an identity basis of normals gives the map L, and L L^T
     must be the covariance: kinetic_covariance, and 2 h min(U_r, U_s) with U_{R+1} = 1 for the vanilla path."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(_noise_shapes())
     def test_identity_basis_gives_the_covariance(self, drawn):
         R, h, gamma, U = drawn
@@ -524,3 +534,18 @@ def test_cached_key_stream_matches_fresh_derivation(seed, iteration, role):
     fresh = np.random.Generator(np.random.Philox(counter=counter, key=key))
     assert np.array_equal(stream(seed, iteration, role).standard_normal(16), fresh.standard_normal(16))
     assert np.array_equal(stream(seed, iteration, role).random(16), stream(seed, iteration, role).random(16))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: coeff_b_kinetic(2, 1.0, 1.0, [0.25, 0.75], 2, 1), IndexError, "need 1 <= j <= r <= R",
+                 id="b-index"),
+    pytest.param(lambda: coeff_b_kinetic(2, 0.0, 1.0, [0.25, 0.75], 1, 2), DomainError, "must be positive",
+                 id="b-gamma"),
+    pytest.param(lambda: coeff_b_kinetic(2, 1.0, -1.0, [0.25, 0.75], 1, 2), DomainError, "must be positive",
+                 id="b-h"),
+    pytest.param(lambda: kinetic_covariance(2, -1.0, 0.1, np.array([0.25, 0.75])), DomainError, "must be positive",
+                 id="covariance-gamma"),
+])
+def test_input_checks(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

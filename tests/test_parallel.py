@@ -246,7 +246,7 @@ class TestExecuteRound:
         assert errors == []
 
 
-_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+_PROPERTY = settings(max_examples=150)
 
 
 def _set_cap(mp, cap):
@@ -462,3 +462,9 @@ class TestWhichOraclesPool:
         points = np.arange(4.0)[:, None] / 10 + np.zeros((4, 3))
         execute_round(points, logistic_small, width=4)  # blocks: slot 0 on the caller, 1-3 on the pool
         assert [threads[i] == threading.get_ident() for i in range(4)] == [True, False, False, False]
+
+
+@pytest.mark.parametrize("width", [0, -2])
+def test_width_below_one_is_rejected(width):
+    with pytest.raises(ConfigurationError, match=f"parallel width must be >= 1, got {width}"):
+        execute_round(np.zeros((3, 2)), QuadraticPotential(np.eye(2)), width)

@@ -1,5 +1,6 @@
 """Potential oracles: gradients, curvature constants, accounting, CSV ingestion."""
 
+import re
 import sys
 import threading
 import tracemalloc
@@ -11,6 +12,7 @@ from parlmc import (
     ConfigurationError,
     DomainError,
     LogisticRidgePotential,
+    PotentialSpec,
     QuadraticPotential,
     SyntheticDelayPotential,
     check_gradient_fd,
@@ -190,6 +192,10 @@ class TestCsvIngestion:
         path = self._write(tmp_path, "y,x1\n1,abc\n")
         with pytest.raises(ConfigurationError, match=":2:"):
             LogisticRidgePotential.from_csv(path, ridge=0.5)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = self._write(tmp_path, "y,x1\n1,0.5\n\n-1,0.2\n")
+        assert np.array_equal(LogisticRidgePotential.from_csv(path, ridge=0.5).X, [[0.5], [0.2]])
 
 
 def test_delay_potential_sleeps():
@@ -377,3 +383,39 @@ class TestLogisticTallDesign:
         value = np.sum(np.logaddexp(0.0, -u), axis=-1) + 0.5 * pot.ridge * np.sum(theta * theta, axis=-1)
         assert np.array_equal(_bits(pot.value(theta)), _bits(value))
         assert np.array_equal(_bits(pot.spec.minimizer), _bits(_reference_minimizer(pot)))
+
+
+def _csv(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    return LogisticRidgePotential.from_csv(path, ridge=0.5)
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda tmp: PotentialSpec(0, 1.0, 1.0), "dimension must be >= 1", id="spec-dimension"),
+    pytest.param(lambda tmp: PotentialSpec(2, 2.0, 1.0), "need 0 < m <= M", id="spec-m-above-M"),
+    pytest.param(lambda tmp: PotentialSpec(2, 1.0, 1.0, minimizer=np.zeros(3)), "minimizer must be a length-p",
+                 id="spec-minimizer"),
+    pytest.param(lambda tmp: QuadraticPotential(np.ones((2, 3))), "must be square", id="quadratic-not-square"),
+    pytest.param(lambda tmp: QuadraticPotential(np.eye(2), mean=np.zeros(3)), "the same dimension",
+                 id="quadratic-mean-shape"),
+    pytest.param(lambda tmp: QuadraticPotential(np.eye(2), mean=[np.inf, 0.0]), "mean must be finite",
+                 id="quadratic-mean-inf"),
+    pytest.param(lambda tmp: LogisticRidgePotential(np.ones(3), np.ones(3), 1.0), "must be 2-D",
+                 id="logistic-X-1d"),
+    pytest.param(lambda tmp: LogisticRidgePotential(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), 1.0),
+                 "design matrix must be 2-D and finite", id="logistic-X-nan"),
+    pytest.param(lambda tmp: LogisticRidgePotential(np.ones((3, 2)), np.ones(2), 1.0), "one per design row",
+                 id="logistic-label-shape"),
+    pytest.param(lambda tmp: LogisticRidgePotential(np.ones((3, 2)), np.ones(3), 0.0), "ridge weight must be positive",
+                 id="logistic-ridge"),
+    pytest.param(lambda tmp: _csv(tmp, ""), "empty file", id="csv-empty"),
+    pytest.param(lambda tmp: _csv(tmp, "y,x1\n"), "no data rows", id="csv-header-only"),
+    pytest.param(lambda tmp: _csv(tmp, "y,x1\n1,0.5\n-1,inf\n"), ":3: non-finite value", id="csv-non-finite"),
+    pytest.param(lambda tmp: SyntheticDelayPotential(2, -0.1), "delay must be nonnegative", id="delay-negative"),
+    pytest.param(lambda tmp: check_gradient_fd(QuadraticPotential(np.eye(2)), np.zeros((2, 2))),
+                 "expects a single point", id="fd-2d-point"),
+])
+def test_input_checks(tmp_path, make, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        make(tmp_path)

@@ -818,3 +818,35 @@ class TestStepWorkspace:
         # which glibc handed back to the OS and faulted in again: about 3250 minor faults per step.
         faults = float(_python(_FAULTS_PER_STEP))
         assert faults < 1000
+
+
+_QUAD_2 = QuadraticPotential.from_diagonal([1.0, 10.0])
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: SamplerConfig(h=math.nan, n=1), "step size h must be positive and finite, got nan", id="h-nan"),
+    pytest.param(lambda: SamplerConfig(h=math.inf, n=1), "step size h must be positive and finite, got inf", id="h-inf"),
+    pytest.param(lambda: SamplerConfig(h=0.1, n=1, gamma=math.nan), "friction gamma must be positive and finite",
+                 id="gamma-nan"),
+    pytest.param(lambda: SamplerConfig(h=0.1, n=-1), "n must be a whole number >= 0, got -1", id="n-negative"),
+    pytest.param(lambda: SamplerConfig(h=0.1, n=2.5), "n must be a whole number >= 0, got 2.5", id="n-fraction"),
+    pytest.param(lambda: SamplerConfig(h=0.1, n=1, R=2.5), "R must be a whole number >= 1, got 2.5", id="R-fraction"),
+    pytest.param(lambda: SamplerConfig(h=0.1, n=1, Q=1.5), "Q must be a whole number >= 1, got 1.5", id="Q-fraction"),
+    pytest.param(lambda: SamplerConfig(h=0.1, n=1, parallel_width=0), "parallel_width must be a whole number >= 1",
+                 id="width-zero"),
+    pytest.param(lambda: SamplerConfig(h=0.1, n=1, parallel_width=1.5), "parallel_width must be a whole number >= 1",
+                 id="width-fraction"),
+    pytest.param(lambda: run("lmc", SamplerConfig(h=1e-5, n=1), _QUAD_2, n_chains=0), "n_chains must be >= 1",
+                 id="run-no-chains"),
+    pytest.param(lambda: run("lmc", SamplerConfig(h=1e-5, n=1), _QUAD_2, record_every=0), "record_every must be >= 1",
+                 id="run-record-every"),
+    pytest.param(lambda: run("lmc", SamplerConfig(h=1e-5, n=1, theta0=np.zeros(3)), _QUAD_2),
+                 "theta0 must have dimension 2", id="run-theta0-1d"),
+    pytest.param(lambda: run("lmc", SamplerConfig(h=1e-5, n=1, theta0=np.zeros((2, 2))), _QUAD_2, n_chains=3),
+                 r"theta0 must be \(3, 2\) for this ensemble", id="run-theta0-2d"),
+    pytest.param(lambda: run("prklmc", SamplerConfig(h=0.001, n=1, R=2, Q=2, gamma=50.0, v0=np.zeros(3)), _QUAD_2),
+                 r"v0 of shape \(3,\) does not fit", id="run-v0"),
+])
+def test_input_checks(make, message):
+    with pytest.raises(ConfigurationError, match=message):
+        make()

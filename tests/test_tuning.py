@@ -23,7 +23,7 @@ from parlmc import (
     tune_kinetic,
     tune_vanilla,
 )
-from parlmc.tuning import kinetic_stability_lhs, vanilla_stability_lhs
+from parlmc.tuning import _checks, kinetic_stability_lhs, vanilla_stability_lhs
 
 # Frozen direct evaluations (mpmath, 40 digits).
 PRE_FAIL_EXAMPLE = 0.17324555320336759   # hbar=0.1, Q=2, R=1, kappa=1
@@ -162,7 +162,7 @@ def _rule_points(draw):
 class TestOneStabilityRule:
     """The theorem bounds and the tuner flag a precondition exactly when the checks report it."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(_rule_points(), st.integers(0, 1000))
     def test_bound_flag_is_the_checks(self, point, n):
         regime, h, R, Q, gamma, m, M = point
@@ -171,7 +171,7 @@ class TestOneStabilityRule:
         bound = theorem1_bound(**shared) if gamma is None else theorem2_bound(**shared, gamma=gamma, f_gap=0.5)
         assert bound.precondition_ok == all(c.passed for c in checks)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(st.sampled_from(["vanilla", "kinetic"]), st.floats(0.01, 0.99), st.floats(1e-2, 10.0),
            st.floats(1.0, 1e5), st.integers(1, 1000), st.sampled_from([None, 0.0]) | st.floats(0.0, 10.0))
     @example("vanilla", 0.5, 1.0, 1.0, 1, 2.2e-313)  # (m/p) w2^2 underflows to 0
@@ -249,3 +249,23 @@ class TestItersLimited:
     def test_invalid_width(self):
         with pytest.raises(ConfigurationError):
             iters_limited("vanilla", 10.0, 0.1, 0)
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: TuneRequest(0.5, 2.0, 1.0, 2, "vanilla"), "need 0 < m <= M", id="request-m-above-M"),
+    pytest.param(lambda: TuneRequest(0.5, 1.0, 2.0, 0, "vanilla"), "dimension must be >= 1", id="request-p"),
+    pytest.param(lambda: TuneRequest(0.5, 1.0, 2.0, 2, "hamiltonian"), "regime must be vanilla or kinetic",
+                 id="request-regime"),
+    pytest.param(lambda: TuneRequest(0.5, 1.0, 2.0, 2, "vanilla", w2_init=-1.0), "must be nonnegative",
+                 id="request-w2-negative"),
+    pytest.param(lambda: _checks("hamiltonian", 0.1, 2, 2, None, 1.0, 2.0), "unknown regime 'hamiltonian'",
+                 id="checks-regime"),
+    pytest.param(lambda: tune_kinetic(TuneRequest(0.5, 1.0, 2.0, 2, "vanilla")), "needs a kinetic-regime request",
+                 id="tune-kinetic-vanilla"),
+    pytest.param(lambda: iters_limited("vanilla", 2.0, 0.5, 0), "parallel width must be >= 1", id="limited-R"),
+    pytest.param(lambda: iters_limited("hamiltonian", 2.0, 0.5, 4), "unknown regime 'hamiltonian'",
+                 id="limited-regime"),
+])
+def test_input_checks(make, message):
+    with pytest.raises(ConfigurationError, match=message):
+        make()
